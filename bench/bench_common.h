@@ -7,8 +7,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,22 +25,6 @@ nowMs()
     return std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-/** Best-of-@p reps wall-clock of @p fn in milliseconds. */
-template <typename Fn>
-inline double
-bestOf(int reps, Fn &&fn)
-{
-    double best = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        double t0 = nowMs();
-        fn();
-        double dt = nowMs() - t0;
-        if (r == 0 || dt < best)
-            best = dt;
-    }
-    return best;
 }
 
 /** Idiom-class counts of one benchmark. */
@@ -82,32 +64,6 @@ countClasses(const std::vector<idioms::IdiomMatch> &matches)
     for (const auto &m : matches)
         c.add(m.cls);
     return c;
-}
-
-/**
- * Compile every NAS/Parboil program into its own module (serially),
- * ready for serial-vs-parallel matching sweeps over the Table 1
- * workload.
- */
-inline std::vector<std::unique_ptr<ir::Module>>
-compileSuite()
-{
-    std::vector<std::unique_ptr<ir::Module>> modules;
-    for (const auto &b : benchmarks::nasParboilSuite()) {
-        modules.push_back(std::make_unique<ir::Module>());
-        frontend::compileMiniCOrDie(b.source, *modules.back());
-    }
-    return modules;
-}
-
-/** Non-owning view of compileSuite()'s result for runParallelBatch. */
-inline std::vector<ir::Module *>
-modulePointers(const std::vector<std::unique_ptr<ir::Module>> &modules)
-{
-    std::vector<ir::Module *> ptrs;
-    for (const auto &m : modules)
-        ptrs.push_back(m.get());
-    return ptrs;
 }
 
 } // namespace repro::bench

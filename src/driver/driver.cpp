@@ -114,16 +114,6 @@ MatchReport::matchCount() const
 
 MatchingDriver::MatchingDriver(DriverOptions opts) : opts_(opts) {}
 
-uint64_t
-MatchingDriver::nextEpoch()
-{
-    // Process-wide: two drivers sharing one MatchCache must never be
-    // at the same epoch, or a recycled function address in driver B
-    // could revive analyses whose IR driver A already destroyed.
-    static std::atomic<uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 MatchReport
 MatchingDriver::compileAndMatch(const std::string &source,
                                 ir::Module &module)
@@ -157,13 +147,8 @@ MatchingDriver::matchModule(ir::Module &module)
             fr.stats = detector.stats();
             fr.status = detector.status();
             accumulate(fr.stats);
-            if (opts_.cache) {
-                auto it = cache_.find(f.get());
-                storeSolveResult(f.get(), fr,
-                                 it != cache_.end()
-                                     ? it->second.analyses
-                                     : nullptr);
-            }
+            if (opts_.cache)
+                storeSolveResult(f.get(), fr);
         }
         report.status = solver::worseStatus(report.status, fr.status);
         report.totals += fr.stats;
@@ -269,11 +254,8 @@ MatchingDriver::matchShards(
         fr.stats = detector.stats();
         fr.status = detector.status();
         workerStats[w] += fr.stats;
-        if (opts_.cache) {
-            // The worker's analyses are stack-owned and die with the
-            // shard; only the portable matches are stored.
-            storeSolveResult(func, fr, nullptr);
-        }
+        if (opts_.cache)
+            storeSolveResult(func, fr);
         *items[i].second = std::move(fr);
     });
 
@@ -668,20 +650,7 @@ MatchingDriver::analysesFor(ir::Function *func)
     if (slot.analyses && slot.hash == hash)
         return *slot.analyses;
     slot.hash = hash;
-    if (opts_.cache) {
-        // A same-epoch deposit for this exact live function skips the
-        // rebuild (e.g. analyses built by an earlier request against
-        // the still-live module).
-        CacheKey key{hash, idioms::idiomSetHash()};
-        slot.analyses = opts_.cache->analysesFor(key, func, epoch_);
-        if (slot.analyses)
-            return *slot.analyses;
-        slot.analyses =
-            std::make_shared<analysis::FunctionAnalyses>(func);
-        opts_.cache->depositAnalyses(key, slot.analyses, func, epoch_);
-        return *slot.analyses;
-    }
-    slot.analyses = std::make_shared<analysis::FunctionAnalyses>(func);
+    slot.analyses = std::make_unique<analysis::FunctionAnalyses>(func);
     return *slot.analyses;
 }
 
@@ -696,10 +665,6 @@ MatchingDriver::invalidateAll()
 {
     cache_.clear();
     module_ = nullptr;
-    // New epoch: analyses deposited in the MatchCache under earlier
-    // epochs are unreachable from now on, even if a later module's
-    // function recycles an old address.
-    epoch_ = nextEpoch();
 }
 
 void
@@ -729,9 +694,8 @@ MatchingDriver::tryReplay(ir::Function *func, FunctionReport *fr)
 }
 
 void
-MatchingDriver::storeSolveResult(
-    ir::Function *func, const FunctionReport &fr,
-    std::shared_ptr<analysis::FunctionAnalyses> analyses)
+MatchingDriver::storeSolveResult(ir::Function *func,
+                                 const FunctionReport &fr)
 {
     // A degraded solve (budget/deadline) found a valid but possibly
     // incomplete match set. Caching it would freeze the truncation:
@@ -745,11 +709,6 @@ MatchingDriver::storeSolveResult(
         return;
     entry.signature = MatchCache::signatureOf(func);
     entry.stats = fr.stats;
-    if (analyses) {
-        entry.analyses = std::move(analyses);
-        entry.analysesOwner = func;
-        entry.analysesEpoch = epoch_;
-    }
     opts_.cache->insert(CacheKey{fr.contentHash,
                                  idioms::idiomSetHash()},
                         std::move(entry));

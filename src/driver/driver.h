@@ -401,21 +401,7 @@ class MatchingDriver
         return opts_.cache;
     }
 
-    /**
-     * Analysis epoch: drawn from a process-wide monotonic counter at
-     * construction and re-drawn by every invalidateAll(). Analyses
-     * deposited into the MatchCache are tagged with it so a recycled
-     * function address from a destroyed module can never revive
-     * another epoch's analyses. Globally unique across driver
-     * instances — a MatchCache shared between drivers can never hand
-     * one driver analyses deposited by another.
-     */
-    uint64_t epoch() const { return epoch_; }
-
   private:
-    /** Next value of the process-wide epoch counter (never 0). */
-    static uint64_t nextEpoch();
-
     void accumulate(const solver::SolveStats &delta);
 
     /**
@@ -427,14 +413,11 @@ class MatchingDriver
     bool tryReplay(ir::Function *func, FunctionReport *fr);
 
     /**
-     * Store @p fr's freshly solved matches in the attached cache,
-     * depositing @p analyses (may be null) for same-epoch reuse.
+     * Store @p fr's freshly solved matches in the attached cache.
      * Functions whose bindings cannot be encoded portably are left
      * uncached.
      */
-    void storeSolveResult(
-        ir::Function *func, const FunctionReport &fr,
-        std::shared_ptr<analysis::FunctionAnalyses> analyses);
+    void storeSolveResult(ir::Function *func, const FunctionReport &fr);
 
     /**
      * Backend-selection inputs for a Transformer, derived from the
@@ -460,7 +443,7 @@ class MatchingDriver
     struct AnalysesSlot
     {
         uint64_t hash = 0;
-        std::shared_ptr<analysis::FunctionAnalyses> analyses;
+        std::unique_ptr<analysis::FunctionAnalyses> analyses;
     };
 
     DriverOptions opts_;
@@ -468,7 +451,6 @@ class MatchingDriver
     /** Module the cached analyses belong to. */
     const ir::Module *module_ = nullptr;
     std::map<ir::Function *, AnalysesSlot> cache_;
-    uint64_t epoch_ = nextEpoch();
 };
 
 } // namespace repro::driver

@@ -68,43 +68,6 @@ MatchCache::entriesMruFirst() const
 }
 
 void
-MatchCache::depositAnalyses(
-    const CacheKey &key,
-    std::shared_ptr<analysis::FunctionAnalyses> analyses,
-    const ir::Function *owner, uint64_t epoch)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end())
-        return;
-    // Copy-on-write: concurrent readers may hold the old entry.
-    auto updated =
-        std::make_shared<CachedMatches>(*it->second->second);
-    updated->analyses = std::move(analyses);
-    updated->analysesOwner = owner;
-    updated->analysesEpoch = epoch;
-    it->second->second = std::move(updated);
-}
-
-std::shared_ptr<analysis::FunctionAnalyses>
-MatchCache::analysesFor(const CacheKey &key, const ir::Function *owner,
-                        uint64_t epoch)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = index_.find(key);
-    if (it == index_.end())
-        return nullptr;
-    const CachedMatches &entry = *it->second->second;
-    // `analysesOwner` is compared, never dereferenced: it may point
-    // at a function of a module destroyed long ago. The epoch check
-    // rejects address-recycling false positives — a new function at
-    // the old address belongs to a newer driver epoch.
-    if (entry.analysesOwner != owner || entry.analysesEpoch != epoch)
-        return nullptr;
-    return entry.analyses;
-}
-
-void
 MatchCache::countHit()
 {
     std::lock_guard<std::mutex> lock(mutex_);

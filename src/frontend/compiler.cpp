@@ -35,7 +35,7 @@ compileMiniC(const std::string &source, ir::Module &module,
 
     auto problems = ir::verifyModule(module);
     for (const auto &p : problems)
-        diags.error({}, "invalid IR after lowering: " + p);
+        diags.error({}, "invalid-ir " + p);
     return problems.empty();
 }
 

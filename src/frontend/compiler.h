@@ -24,7 +24,9 @@ namespace repro::frontend {
  * ("frontend-optimize"), throwing InternalError naming the boundary
  * on the first defect — pinpointing which stage broke the module
  * instead of reporting a blurred post-hoc diagnostic. The final
- * diags-based module check always runs regardless of the mode.
+ * module check always runs regardless of the mode; each error-tier
+ * finding becomes one "invalid-ir rule=... function=@..." error in
+ * @p diags.
  */
 bool compileMiniC(const std::string &source, ir::Module &module,
                   DiagEngine &diags,

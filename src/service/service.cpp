@@ -4,7 +4,6 @@
 #include <map>
 
 #include "frontend/compiler.h"
-#include "ir/verifier.h"
 #include "transform/rewrite.h"
 
 namespace repro::service {
@@ -53,6 +52,10 @@ MatchService::submit(const std::string &moduleName,
     auto module = std::make_unique<ir::Module>();
     module->setName(moduleName);
     auto t0 = std::chrono::steady_clock::now();
+    // compileMiniC always ends with the full IR verifier, whatever
+    // the VerifyMode, so nothing malformed reaches the session store
+    // or the shared match cache; its rejection carries the verifier's
+    // rule id and location ("invalid-ir rule=... function=@...").
     DiagEngine diags;
     if (!frontend::compileMiniC(source, *module, diags)) {
         outcome.error = diags.all().empty()
@@ -60,22 +63,10 @@ MatchService::submit(const std::string &moduleName,
                             : diags.all().front().str();
         return outcome;
     }
-    // Defense in depth, always on regardless of VerifyMode: nothing
-    // malformed may reach the session store or the shared match cache
-    // (cached entries outlive the module that deposited them). The
-    // rejection is structured — the wire error carries the verifier's
-    // rule id and location, not a blurred "bad module".
-    ir::VerifierReport vr = ir::verifyModuleDetailed(*module);
-    if (vr.errorCount() != 0) {
-        outcome.error = "invalid-ir " + vr.firstError().str();
-        return outcome;
-    }
     outcome.compileMillis = millisSince(t0);
 
     // The driver's analysis cache points into the previously matched
-    // module; this request targets a new one. (The epoch bump also
-    // retires analyses deposited in the MatchCache, so recycled
-    // addresses can never revive them.)
+    // module; this request targets a new one.
     driver_.invalidateAll();
     // The deadline clock starts when the solve starts, not when the
     // request was parsed: compile time is not solver effort. mutex_

@@ -19,8 +19,7 @@
  * All public methods are mutex-guarded; concurrent connections of the
  * socket server may call into one MatchService freely. Submitted
  * modules stay alive until their session is replaced, dropped or
- * reset, so cached analyses deposited for live functions can never
- * dangle (the driver's epoch guard covers the replacement window).
+ * reset.
  */
 #ifndef SERVICE_SERVICE_H
 #define SERVICE_SERVICE_H
@@ -132,11 +131,12 @@ class MatchService
      * unbounded). An expired deadline still succeeds, with
      * SubmitOutcome::degraded set and partial matches.
      *
-     * Every compiled module additionally runs through the
-     * dominance-aware IR verifier (always, independent of the
-     * REPRO_VERIFY mode): a module with any error-tier defect is
-     * rejected with a structured "invalid-ir rule=... " error before
-     * it can reach the session store or the shared cache.
+     * Every compiled module runs through the dominance-aware IR
+     * verifier once, as compileMiniC's final check (always,
+     * independent of the REPRO_VERIFY mode): a module with any
+     * error-tier defect is rejected with a structured
+     * "error: invalid-ir rule=... function=@..." error before it can
+     * reach the session store or the shared cache.
      */
     SubmitOutcome submit(const std::string &moduleName,
                          const std::string &source,

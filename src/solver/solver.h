@@ -62,7 +62,7 @@ struct Solution
     std::string str() const;
 };
 
-/** Search effort counters (reported by bench_solver / Table 2). */
+/** Search effort counters (reported by Table 2 and perfbench). */
 struct SolveStats
 {
     uint64_t assignments = 0; ///< variable assignments tried

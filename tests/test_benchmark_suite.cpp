@@ -127,11 +127,13 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SuiteTotals, SixtyIdioms)
 {
     Counts total;
+    solver::SolveStats effort;
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
         idioms::IdiomDetector det;
         Counts c = countMatches(det.detectModule(module));
+        effort += det.stats();
         total.sr += c.sr;
         total.h += c.h;
         total.st += c.st;
@@ -143,4 +145,9 @@ TEST(SuiteTotals, SixtyIdioms)
     EXPECT_EQ(total.st, 6);
     EXPECT_EQ(total.m, 1);
     EXPECT_EQ(total.sp, 3);
+    // Pinned solver effort of the Table 1 workload: a change that
+    // moves the search (ordering, pruning, idiom library) must update
+    // these.
+    EXPECT_EQ(effort.assignments, 411350u);
+    EXPECT_EQ(effort.solutions, 252u);
 }

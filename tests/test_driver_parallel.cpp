@@ -130,11 +130,11 @@ TEST(DriverParallel, ManyFunctionModuleAnyThreadCount)
 
 TEST(DriverParallel, BatchAcrossModulesMatchesSerial)
 {
-    // The Table 1 shape: many single-function modules, one shared
-    // work queue across all of them.
+    // The Table 1 workload: all 21 single-function modules, one
+    // shared work queue across all of them.
     std::vector<const benchmarks::BenchmarkProgram *> programs;
-    for (const char *name : {"sgemm", "CG", "MG", "LU", "histo"})
-        programs.push_back(&benchmarks::benchmarkByName(name));
+    for (const auto &b : benchmarks::nasParboilSuite())
+        programs.push_back(&b);
 
     std::vector<std::unique_ptr<ir::Module>> modules;
     std::vector<ir::Module *> modulePtrs;
@@ -147,7 +147,7 @@ TEST(DriverParallel, BatchAcrossModulesMatchesSerial)
         serial.push_back(serialDrv.matchModule(*modules.back()));
     }
 
-    for (unsigned threads : {2u, 4u}) {
+    for (unsigned threads : {1u, 2u, 4u, 8u}) {
         driver::MatchingDriver drv;
         auto parallel = drv.runParallelBatch(modulePtrs, threads);
         ASSERT_EQ(parallel.size(), serial.size());

@@ -43,9 +43,19 @@ runInt(const char *src, const char *fn,
 // Property-style sweep: integer operator semantics match C.
 struct IntOpCase
 {
+    const char *name;
     const char *expr;
     int64_t (*expected)(int64_t, int64_t);
 };
+
+// Print a case by its name. CTest names each case by this printout; the
+// default printout is the raw bytes of the pointers, which change from
+// run to run.
+void
+PrintTo(const IntOpCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
 
 class IntOps : public ::testing::TestWithParam<IntOpCase>
 {};
@@ -67,20 +77,20 @@ TEST_P(IntOps, MatchesHostSemantics)
 INSTANTIATE_TEST_SUITE_P(
     Arithmetic, IntOps,
     ::testing::Values(
-        IntOpCase{"a + b", [](int64_t a, int64_t b) { return a + b; }},
-        IntOpCase{"a - b", [](int64_t a, int64_t b) { return a - b; }},
-        IntOpCase{"a * b", [](int64_t a, int64_t b) { return a * b; }},
-        IntOpCase{"a / b", [](int64_t a, int64_t b) { return a / b; }},
-        IntOpCase{"a % b", [](int64_t a, int64_t b) { return a % b; }},
-        IntOpCase{"a & b", [](int64_t a, int64_t b) { return a & b; }},
-        IntOpCase{"a | b", [](int64_t a, int64_t b) { return a | b; }},
-        IntOpCase{"a ^ b", [](int64_t a, int64_t b) { return a ^ b; }},
-        IntOpCase{"a < b",
+        IntOpCase{"add", "a + b", [](int64_t a, int64_t b) { return a + b; }},
+        IntOpCase{"sub", "a - b", [](int64_t a, int64_t b) { return a - b; }},
+        IntOpCase{"mul", "a * b", [](int64_t a, int64_t b) { return a * b; }},
+        IntOpCase{"div", "a / b", [](int64_t a, int64_t b) { return a / b; }},
+        IntOpCase{"rem", "a % b", [](int64_t a, int64_t b) { return a % b; }},
+        IntOpCase{"and", "a & b", [](int64_t a, int64_t b) { return a & b; }},
+        IntOpCase{"or", "a | b", [](int64_t a, int64_t b) { return a | b; }},
+        IntOpCase{"xor", "a ^ b", [](int64_t a, int64_t b) { return a ^ b; }},
+        IntOpCase{"lt", "a < b",
                   [](int64_t a, int64_t b) -> int64_t { return a < b; }},
-        IntOpCase{"a >= b", [](int64_t a, int64_t b) -> int64_t {
+        IntOpCase{"ge", "a >= b", [](int64_t a, int64_t b) -> int64_t {
                       return a >= b;
                   }},
-        IntOpCase{"a == b ? a : b", [](int64_t a, int64_t b) {
+        IntOpCase{"select", "a == b ? a : b", [](int64_t a, int64_t b) {
                       return a == b ? a : b;
                   }}));
 

@@ -208,17 +208,26 @@ TEST(CompiledInterpDifferential, SuiteOriginalAndTransformed)
 
     size_t totalReplacements = 0;
     size_t totalLoops = 0;
+    uint64_t originalSteps = 0;
+    uint64_t transformedSteps = 0;
     for (const auto &r : records) {
         EXPECT_TRUE(r.ok()) << r.name << ": " << r.error;
         EXPECT_GT(r.originalSteps, 0u) << r.name;
         EXPECT_GT(r.transformedSteps, 0u) << r.name;
         totalReplacements += r.replacements;
         totalLoops += r.loopsCompared;
+        originalSteps += r.originalSteps;
+        transformedSteps += r.transformedSteps;
     }
     // The sweep must have exercised real rewrites and real loops, not
     // vacuous comparisons.
-    EXPECT_GT(totalReplacements, 0u);
     EXPECT_GT(totalLoops, 0u);
+    // Pinned suite totals (the same figures perfbench's suite-pipeline
+    // prints on its `# deterministic` line): a change that moves the
+    // rewrite count or the dynamic step counts must update these.
+    EXPECT_EQ(totalReplacements, 58u);
+    EXPECT_EQ(originalSteps, 5814982u);
+    EXPECT_EQ(transformedSteps, 3993563u);
 }
 
 TEST(CompiledInterpDifferential, ParallelVerifyMatchesSerial)

@@ -380,20 +380,6 @@ TEST(CachedDriver, CollidingEntryWithDifferentShapeIsNotReplayed)
         EXPECT_FALSE(fr.fromCache) << fr.function->name();
 }
 
-TEST(CachedDriver, EpochsAreGloballyUniqueAcrossDrivers)
-{
-    // Regression: epochs used to be per-driver counters from 0, so
-    // two drivers sharing one MatchCache could sit at the same epoch
-    // — a recycled function address in driver B then revived analyses
-    // whose module driver A had already destroyed (use-after-free).
-    driver::MatchingDriver a, b;
-    EXPECT_NE(a.epoch(), b.epoch());
-    const uint64_t prev = a.epoch();
-    a.invalidateAll();
-    EXPECT_NE(a.epoch(), prev);
-    EXPECT_NE(a.epoch(), b.epoch());
-}
-
 // -------------------------------------------------- service sessions
 
 TEST(MatchService, ColdWarmEditedAcrossSessions)
