@@ -115,8 +115,7 @@ class Promoter
                 auto phi = std::make_unique<Instruction>(
                     Opcode::Phi, alloca->accessType(),
                     func_->uniqueName(alloca->name() + ".phi"));
-                Instruction *p = fr->insert(0, std::move(phi));
-                phiFor_[{fr, alloca}] = p;
+                allocaOfPhi_[fr->insert(0, std::move(phi))] = alloca;
                 work.push_back(fr);
             }
         }
@@ -126,9 +125,12 @@ class Promoter
     rename(BasicBlock *bb, std::map<Instruction *, Value *> incoming)
     {
         // Phis placed in this block define new values first.
-        for (auto &[key, phi] : phiFor_) {
-            if (key.first == bb)
-                incoming[key.second] = phi;
+        for (const auto &phi : bb->insts()) {
+            if (!phi->is(Opcode::Phi))
+                break;
+            auto a = allocaOfPhi_.find(phi.get());
+            if (a != allocaOfPhi_.end())
+                incoming[a->second] = phi.get();
         }
         for (const auto &inst_ptr : bb->insts()) {
             Instruction *inst = inst_ptr.get();
@@ -154,12 +156,17 @@ class Promoter
                 }
             }
         }
-        // Feed phi nodes of successors.
+        // Feed phi nodes of successors, in block order: a value
+        // feeding several phis then lists them as users in an order
+        // that does not depend on heap addresses.
         for (BasicBlock *succ : bb->successors()) {
-            for (auto &[key, phi] : phiFor_) {
-                if (key.first != succ)
+            for (const auto &phi : succ->insts()) {
+                if (!phi->is(Opcode::Phi))
+                    break;
+                auto a = allocaOfPhi_.find(phi.get());
+                if (a == allocaOfPhi_.end())
                     continue;
-                auto it = incoming.find(key.second);
+                auto it = incoming.find(a->second);
                 if (it != incoming.end())
                     phi->addIncoming(it->second, bb);
             }
@@ -175,8 +182,8 @@ class Promoter
     Function *func_;
     DomTree dom_;
     std::map<BasicBlock *, std::vector<BasicBlock *>> domChildren_;
-    std::map<std::pair<BasicBlock *, Instruction *>, Instruction *>
-        phiFor_;
+    /** The alloca each placed phi stands for. */
+    std::map<Instruction *, Instruction *> allocaOfPhi_;
     std::vector<Instruction *> toErase_;
 };
 

@@ -1,5 +1,7 @@
 #include "frontend/parser.h"
 
+#include <cerrno>
+#include <cstdlib>
 #include <map>
 
 namespace repro::frontend {
@@ -18,13 +20,46 @@ class Parser
     parseUnit()
     {
         auto unit = std::make_unique<TranslationUnit>();
+        uint64_t declarations = kHashSeed;
         while (!peek().is(TokKind::End)) {
+            const size_t start = pos_;
+            const size_t functions = unit->functions.size();
             parseTopLevel(*unit);
+            // Everything before a definition's body is declaration.
+            size_t end = pos_;
+            if (unit->functions.size() > functions &&
+                unit->functions.back()->body) {
+                unit->functions.back()->definitionHash =
+                    hashTokens(kHashSeed, start, pos_);
+                end = bodyStart_;
+            }
+            declarations = hashTokens(declarations, start, end);
         }
+        unit->declarationsHash = declarations;
         return unit;
     }
 
   private:
+    static constexpr uint64_t kHashSeed = 14695981039346656037ull;
+
+    /** FNV-1a of @p h extended by tokens [from, to) and their count. */
+    uint64_t
+    hashTokens(uint64_t h, size_t from, size_t to) const
+    {
+        auto mix = [&h](uint64_t byte) {
+            h ^= byte;
+            h *= 1099511628211ull;
+        };
+        mix(to - from);
+        for (size_t i = from; i < to; ++i) {
+            mix(static_cast<uint64_t>(tokens_[i].kind));
+            mix(tokens_[i].text.size());
+            for (char c : tokens_[i].text)
+                mix(static_cast<unsigned char>(c));
+        }
+        return h;
+    }
+
     const Token &peek(int ahead = 0) const
     {
         size_t i = pos_ + static_cast<size_t>(ahead);
@@ -63,6 +98,34 @@ class Parser
                                          peek().text + "'");
             throw FatalError("MiniC parse error");
         }
+    }
+
+    /** Value of an integer literal token (suffixes ignored). */
+    int64_t
+    intLiteralValue(const Token &t)
+    {
+        errno = 0;
+        long long v = std::strtoll(t.text.c_str(), nullptr, 10);
+        if (errno == ERANGE) {
+            diags_.error(t.loc, "integer literal '" + t.text +
+                                    "' out of range");
+            throw FatalError("MiniC parse error");
+        }
+        return v;
+    }
+
+    /** Value of a floating literal token (suffixes ignored). */
+    double
+    floatLiteralValue(const Token &t)
+    {
+        errno = 0;
+        double v = std::strtod(t.text.c_str(), nullptr);
+        if (errno == ERANGE) {
+            diags_.error(t.loc, "floating literal '" + t.text +
+                                    "' out of range");
+            throw FatalError("MiniC parse error");
+        }
+        return v;
     }
 
     bool
@@ -134,7 +197,7 @@ class Parser
                     diags_.error(n.loc, "expected array size literal");
                     throw FatalError("MiniC parse error");
                 }
-                type.dims.push_back(std::stoll(n.text));
+                type.dims.push_back(intLiteralValue(n));
                 expectPunct("]");
             }
             first = false;
@@ -209,6 +272,7 @@ class Parser
                 unit.functions.push_back(std::move(func));
                 return;
             }
+            bodyStart_ = pos_;
             func->body = parseBlock();
             unit.functions.push_back(std::move(func));
             return;
@@ -595,24 +659,14 @@ class Parser
         if (t.is(TokKind::IntLiteral)) {
             auto e = std::make_unique<Expr>(Expr::Kind::IntLit);
             e->loc = t.loc;
-            std::string digits = t.text;
-            while (!digits.empty() &&
-                   (digits.back() == 'l' || digits.back() == 'L' ||
-                    digits.back() == 'u' || digits.back() == 'U')) {
-                digits.pop_back();
-            }
-            e->intValue = std::stoll(digits);
+            e->intValue = intLiteralValue(t);
             return e;
         }
         if (t.is(TokKind::FloatLiteral)) {
             auto e = std::make_unique<Expr>(Expr::Kind::FloatLit);
             e->loc = t.loc;
-            std::string digits = t.text;
-            e->isFloat32 = !digits.empty() && (digits.back() == 'f' ||
-                                               digits.back() == 'F');
-            if (e->isFloat32)
-                digits.pop_back();
-            e->floatValue = std::stod(digits);
+            e->isFloat32 = t.text.back() == 'f' || t.text.back() == 'F';
+            e->floatValue = floatLiteralValue(t);
             return e;
         }
         if (t.is(TokKind::Identifier)) {
@@ -646,6 +700,8 @@ class Parser
     std::vector<Token> tokens_;
     DiagEngine &diags_;
     size_t pos_ = 0;
+    /** Token index of the last parsed function body's "{". */
+    size_t bodyStart_ = 0;
 };
 
 } // namespace

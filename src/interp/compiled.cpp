@@ -466,8 +466,10 @@ CompiledExec::run(Interpreter &it, ir::Function *func,
             ++pc;
             break;
           case BcOp::Shl:
-            slots[bc.dst] = RuntimeValue::makeInt(
-                slots[bc.a].i << (slots[bc.b].i & 63));
+            // As Interpreter::run: shift the bits of the int64_t.
+            slots[bc.dst] = RuntimeValue::makeInt(static_cast<int64_t>(
+                static_cast<uint64_t>(slots[bc.a].i)
+                << (slots[bc.b].i & 63)));
             ++pc;
             break;
           case BcOp::AShr:

@@ -428,9 +428,11 @@ Interpreter::runFunction(ir::Function *func,
                                               eval(inst->operand(1)).i);
             break;
           case Opcode::Shl:
-            env[inst] = RuntimeValue::makeInt(
-                eval(inst->operand(0)).i
-                << (eval(inst->operand(1)).i & 63));
+            // Shift the bits: shifting a negative int64_t is undefined
+            // before C++20.
+            env[inst] = RuntimeValue::makeInt(static_cast<int64_t>(
+                static_cast<uint64_t>(eval(inst->operand(0)).i)
+                << (eval(inst->operand(1)).i & 63)));
             break;
           case Opcode::AShr:
             env[inst] = RuntimeValue::makeInt(

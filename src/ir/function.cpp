@@ -1,8 +1,8 @@
 #include "ir/function.h"
 
+#include <algorithm>
 #include <cstring>
 #include <set>
-#include <sstream>
 #include <unordered_map>
 
 #include "support/diagnostics.h"
@@ -15,9 +15,8 @@ Function::Function(Type *func_type, std::string name, Module *parent)
 {
     const auto &params = func_type->params();
     for (size_t i = 0; i < params.size(); ++i) {
-        std::ostringstream os;
-        os << "arg" << i;
-        args_.emplace_back(new Argument(params[i], os.str(), this,
+        args_.emplace_back(new Argument(params[i],
+                                        "arg" + std::to_string(i), this,
                                         static_cast<int>(i)));
     }
 }
@@ -259,12 +258,95 @@ Function::instructionCount() const
     return n;
 }
 
+void
+Function::cloneBodyFrom(const Function &src)
+{
+    reproAssert(isDeclaration() && args_.size() == src.args_.size(),
+                "cloneBodyFrom: target must be a matching declaration");
+    Module &module = *module_;
+    std::unordered_map<const Type *, Type *> types;
+    auto mapType = [&](const Type *t) -> Type * {
+        if (!t)
+            return nullptr;
+        auto [it, fresh] = types.emplace(t, nullptr);
+        if (fresh)
+            it->second = module.types().import(t);
+        return it->second;
+    };
+
+    // Locals first, so forward references (phis) resolve.
+    std::unordered_map<const Value *, Value *> values;
+    std::unordered_map<const BasicBlock *, BasicBlock *> blocks;
+    values.reserve(args_.size() + 2 * src.instructionCount());
+    blocks.reserve(src.blocks_.size());
+    for (size_t i = 0; i < args_.size(); ++i)
+        values.emplace(src.arg(i), arg(i));
+    for (const auto &bb : src.blocks_) {
+        BasicBlock *copy = createBlock(bb->name());
+        blocks.emplace(bb.get(), copy);
+        for (const auto &inst : bb->insts()) {
+            auto clone = std::make_unique<Instruction>(
+                inst->opcode(), mapType(inst->type()), inst->name());
+            clone->setCmpPred(inst->cmpPred());
+            clone->setAccessType(mapType(inst->accessType()));
+            if (inst->callee())
+                clone->setCallee(
+                    module.functionByName(inst->callee()->name()));
+            values.emplace(inst.get(), copy->append(std::move(clone)));
+        }
+    }
+    auto mapValue = [&](const Value *v) -> Value * {
+        auto it = values.find(v);
+        if (it != values.end())
+            return it->second;
+        Value *out = nullptr;
+        if (v->isConstant()) {
+            const auto *c = static_cast<const Constant *>(v);
+            out = c->isFP() ? module.fpConst(mapType(c->type()),
+                                             c->fpValue())
+                            : module.intConst(mapType(c->type()),
+                                              c->intValue());
+        } else if (v->isGlobal()) {
+            out = module.globalByName(v->name());
+        } else if (v->kind() == ValueKind::FunctionRef) {
+            out = module.functionByName(v->name());
+        }
+        reproAssert(out != nullptr,
+                    "cloneBodyFrom: operand without a counterpart");
+        values.emplace(v, out);
+        return out;
+    };
+    for (size_t b = 0; b < blocks_.size(); ++b) {
+        const auto &from = src.blocks_[b]->insts();
+        const auto &to = blocks_[b]->insts();
+        for (size_t i = 0; i < from.size(); ++i) {
+            for (const Value *op : from[i]->operands())
+                to[i]->addOperand(mapValue(op));
+            for (const BasicBlock *t : from[i]->blockTargets())
+                to[i]->addBlockTarget(blocks.at(t));
+        }
+    }
+
+    // The loop above appended this function's uses of every value to
+    // the tail of its users list in operand order; restore src's.
+    std::vector<Instruction *> order;
+    for (const auto &[from, to] : values) {
+        order.clear();
+        for (Instruction *user : from->users_) {
+            auto it = values.find(user);
+            if (it != values.end())
+                order.push_back(static_cast<Instruction *>(it->second));
+        }
+        std::copy(order.begin(), order.end(),
+                  to->users_.end() - static_cast<ptrdiff_t>(order.size()));
+    }
+    nameCounter_ = src.nameCounter_;
+}
+
 std::string
 Function::uniqueName(const std::string &prefix)
 {
-    std::ostringstream os;
-    os << prefix << nameCounter_++;
-    return os.str();
+    return prefix + std::to_string(nameCounter_++);
 }
 
 void

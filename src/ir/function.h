@@ -89,6 +89,18 @@ class Function : public Value
 
     std::string handle() const override { return "@" + name(); }
 
+    /**
+     * Give this declaration a copy of @p src's body, where @p src is
+     * a function of the same signature in another module: blocks,
+     * instructions, phis, names and the uniqueName() counter, with
+     * types, constants, globals and callees remapped by name into
+     * this function's module (all must already exist there). Each
+     * value's users() keep @p src's order within the function, so
+     * the clone prints, hashes and is matched exactly like the body
+     * it copies, and later rewrites name their values alike.
+     */
+    void cloneBodyFrom(const Function &src);
+
     /** Pick a fresh SSA name with the given prefix. */
     std::string uniqueName(const std::string &prefix);
 

@@ -112,6 +112,29 @@ TypeContext::functionTy(Type *ret, std::vector<Type *> params)
 }
 
 Type *
+TypeContext::import(const Type *foreign)
+{
+    switch (foreign->kind()) {
+      case Type::Kind::Void: return voidTy_;
+      case Type::Kind::I1: return i1Ty_;
+      case Type::Kind::I32: return i32Ty_;
+      case Type::Kind::I64: return i64Ty_;
+      case Type::Kind::Float: return floatTy_;
+      case Type::Kind::Double: return doubleTy_;
+      case Type::Kind::Pointer: return pointerTo(import(foreign->element()));
+      case Type::Kind::Array:
+        return arrayOf(import(foreign->element()), foreign->arraySize());
+      case Type::Kind::Function: {
+        std::vector<Type *> params;
+        for (Type *p : foreign->params())
+            params.push_back(import(p));
+        return functionTy(import(foreign->returnType()), std::move(params));
+      }
+    }
+    return nullptr;
+}
+
+Type *
 TypeContext::parse(const std::string &text)
 {
     std::string s = trimString(text);

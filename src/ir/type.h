@@ -109,6 +109,9 @@ class TypeContext
     Type *arrayOf(Type *element, uint64_t count);
     Type *functionTy(Type *ret, std::vector<Type *> params);
 
+    /** This context's type structurally equal to @p foreign's. */
+    Type *import(const Type *foreign);
+
     /** Parse a type from its str() rendering; null on failure. */
     Type *parse(const std::string &text);
 

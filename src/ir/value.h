@@ -77,6 +77,7 @@ class Value
 
   private:
     friend class Instruction;
+    friend class Function; // cloneBodyFrom() replays users() order
     void addUser(Instruction *inst) { users_.push_back(inst); }
     void removeUser(Instruction *inst);
 

@@ -200,14 +200,17 @@ formatSubmitResponse(const SubmitOutcome &outcome)
 
 std::string
 formatStats(const driver::CacheCounters &counters, size_t entries,
-            size_t capacity, size_t sessions)
+            size_t capacity, size_t sessions,
+            const ServiceCounters &service)
 {
     std::ostringstream os;
     os << "OK entries=" << entries << " capacity=" << capacity
        << " hits=" << counters.hits << " misses=" << counters.misses
        << " evictions=" << counters.evictions
        << " insertions=" << counters.insertions
-       << " sessions=" << sessions;
+       << " sessions=" << sessions
+       << " compile_reused=" << service.compileReused
+       << " invalid_ir=" << service.invalidIr;
     return os.str();
 }
 

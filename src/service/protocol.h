@@ -93,10 +93,13 @@ std::string hashToken(uint64_t hash);
 std::vector<std::string>
 formatSubmitResponse(const SubmitOutcome &outcome);
 
-/** Render the STATS response line. */
+/**
+ * Render the STATS response line. New keys are only ever appended
+ * after sessions=, so a client reading the earlier keys keeps working.
+ */
 std::string formatStats(const driver::CacheCounters &counters,
                         size_t entries, size_t capacity,
-                        size_t sessions);
+                        size_t sessions, const ServiceCounters &service);
 
 } // namespace repro::service
 

@@ -329,7 +329,8 @@ serveConnection(MatchService &service, LineIO &io,
             io.write(formatStats(service.cacheCounters(),
                                  service.cacheSize(),
                                  service.cacheCapacity(),
-                                 service.sessionCount()) +
+                                 service.sessionCount(),
+                                 service.serviceCounters()) +
                      "\n");
             break;
           case Request::Verb::Capacity:

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <map>
 
-#include "frontend/compiler.h"
 #include "transform/rewrite.h"
 
 namespace repro::service {
@@ -48,21 +47,31 @@ MatchService::submit(const std::string &moduleName,
     outcome.module = moduleName;
 
     // Compile into a fresh module first: a failed submission must
-    // leave the previous session fully intact.
+    // leave the previous session fully intact. Unchanged functions
+    // are cloned from that session's module.
     auto module = std::make_unique<ir::Module>();
     module->setName(moduleName);
     auto t0 = std::chrono::steady_clock::now();
-    // compileMiniC always ends with the full IR verifier, whatever
+    frontend::PreviousCompile previous;
+    auto it = sessions_.find(moduleName);
+    if (it != sessions_.end())
+        previous = {it->second.module.get(), &it->second.keys};
+    // The compile always ends with the full IR verifier, whatever
     // the VerifyMode, so nothing malformed reaches the session store
     // or the shared match cache; its rejection carries the verifier's
     // rule id and location ("invalid-ir rule=... function=@...").
     DiagEngine diags;
-    if (!frontend::compileMiniC(source, *module, diags)) {
+    frontend::CompileResult compiled = frontend::compileMiniCReusing(
+        source, *module, diags, previous);
+    if (!compiled.ok) {
+        if (compiled.invalidIr)
+            ++counters_.invalidIr;
         outcome.error = diags.all().empty()
                             ? std::string("compilation failed")
                             : diags.all().front().str();
         return outcome;
     }
+    counters_.compileReused += compiled.reused.size();
     outcome.compileMillis = millisSince(t0);
 
     // The driver's analysis cache points into the previously matched
@@ -128,7 +137,7 @@ MatchService::submit(const std::string &moduleName,
     }
 
     Session &session = sessions_[moduleName];
-    session.source = source;
+    session.keys = std::move(compiled.keys);
     // Destroying the replaced module is safe: the driver cache was
     // invalidated above and the new report holds no pointers into it.
     session.module = std::move(module);
@@ -182,6 +191,13 @@ driver::CacheCounters
 MatchService::cacheCounters() const
 {
     return cache_->counters();
+}
+
+ServiceCounters
+MatchService::serviceCounters() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return counters_;
 }
 
 size_t

@@ -4,13 +4,15 @@
  *
  * The batch pipeline recompiles, re-analyzes and re-solves everything
  * on every invocation; MatchService is the long-lived alternative a
- * daemon fronts. It keeps one session per client module name (the
- * submitted source, its compiled ir::Module, and the last report) and
- * routes every submission through a cache-attached MatchingDriver, so
- * resubmitting an edited module re-solves only the functions whose
- * structural contentHash() changed — every unchanged function replays
- * its cached matches, re-anchored onto the freshly compiled IR (see
- * driver/match_cache.h for the keying and portability story).
+ * daemon fronts. It keeps one session per client module name (its
+ * compiled ir::Module, the keys its functions were compiled from, and
+ * the last report). A submission recompiles only the functions that
+ * changed since that session (frontend::compileMiniCReusing) and goes
+ * through a cache-attached MatchingDriver, so resubmitting an edited
+ * module re-solves only the functions whose structural contentHash()
+ * changed — every unchanged function replays its cached matches,
+ * re-anchored onto the freshly compiled IR (see driver/match_cache.h
+ * for the keying and portability story).
  *
  * The MatchCache is shared across all sessions: two clients
  * submitting the same kernel body share one entry, regardless of
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "driver/driver.h"
+#include "frontend/compiler.h"
 
 namespace repro::service {
 
@@ -114,6 +117,15 @@ struct SubmitOutcome
     std::vector<MatchOutcome> matchList;
 };
 
+/** Monotonic compile-side counters (reported by STATS). */
+struct ServiceCounters
+{
+    /** Functions whose optimized IR a SUBMIT reused from its session. */
+    uint64_t compileReused = 0;
+    /** SUBMITs rejected by the final IR verifier ("invalid-ir"). */
+    uint64_t invalidIr = 0;
+};
+
 /** The long-lived matching service. */
 class MatchService
 {
@@ -137,6 +149,13 @@ class MatchService
      * error-tier defect is rejected with a structured
      * "error: invalid-ir rule=... function=@..." error before it can
      * reach the session store or the shared cache.
+     *
+     * The compile runs against the module's previous session: every
+     * function whose definition and the module's declarations are
+     * token-identical to that session's keeps its optimized IR
+     * (frontend::compileMiniCReusing), so a warm SUBMIT compiles only
+     * what changed. compileMillis still covers everything from source
+     * text to the verified module.
      */
     SubmitOutcome submit(const std::string &moduleName,
                          const std::string &source,
@@ -155,6 +174,7 @@ class MatchService
     size_t sessionCount() const;
 
     driver::CacheCounters cacheCounters() const;
+    ServiceCounters serviceCounters() const;
     size_t cacheSize() const;
     size_t cacheCapacity() const;
     void setCacheCapacity(size_t capacity);
@@ -174,13 +194,15 @@ class MatchService
   private:
     struct Session
     {
-        std::string source;
+        /** What module's functions were compiled from. */
+        frontend::ReuseKeys keys;
         std::unique_ptr<ir::Module> module;
         SubmitOutcome outcome;
     };
 
     mutable std::mutex mutex_;
     ServiceOptions opts_;
+    ServiceCounters counters_;
     std::shared_ptr<driver::MatchCache> cache_;
     driver::MatchingDriver driver_;
     std::map<std::string, Session> sessions_;

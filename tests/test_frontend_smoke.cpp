@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 #include "frontend/compiler.h"
+#include "frontend/lexer.h"
 #include "interp/interpreter.h"
 #include "ir/printer.h"
 
@@ -32,4 +33,124 @@ TEST(Smoke, DotProduct)
                          interp::RuntimeValue::makeInt(b),
                          interp::RuntimeValue::makeInt(4)});
     EXPECT_DOUBLE_EQ(r.f, 20.0);
+}
+
+namespace {
+
+/** "<kind>:<text>@<line>:<col>" per token, space-separated. */
+std::string
+renderTokens(const std::string &src)
+{
+    DiagEngine diags;
+    std::vector<frontend::Token> tokens = frontend::lexMiniC(src, diags);
+    EXPECT_FALSE(diags.hasErrors()) << diags.dump();
+    std::string out;
+    for (const frontend::Token &t : tokens) {
+        static const char kKind[] = {'E', 'I', 'N', 'F', 'K', 'P'};
+        if (!out.empty())
+            out += ' ';
+        out += kKind[static_cast<int>(t.kind)];
+        out += ':' + t.text + '@' + std::to_string(t.loc.line) + ':' +
+               std::to_string(t.loc.column);
+    }
+    return out;
+}
+
+} // namespace
+
+// Pins the lexer's exact token stream: kinds, texts and positions of
+// every punctuator (longest match first), both comment forms, number
+// suffixes and exponents, and every keyword.
+TEST(Lexer, TokenStreamIsPinned)
+{
+    struct Case
+    {
+        const char *source;
+        const char *tokens;
+    };
+    const Case cases[] = {
+        {"<<= >>= ... -> == != <= >= && || ++ -- += -= *= /= %= << >>",
+         "P:<<=@1:1 P:>>=@1:5 P:...@1:9 P:->@1:13 P:==@1:16 P:!=@1:19 "
+         "P:<=@1:22 P:>=@1:25 P:&&@1:28 P:||@1:31 P:++@1:34 P:--@1:37 "
+         "P:+=@1:40 P:-=@1:43 P:*=@1:46 P:/=@1:49 P:%=@1:52 P:<<@1:55 "
+         "P:>>@1:58 E:@1:60"},
+        {"+ - * / % = < > ! & | ^ ~ ( ) [ ] { } , ; ? : .",
+         "P:+@1:1 P:-@1:3 P:*@1:5 P:/@1:7 P:%@1:9 P:=@1:11 P:<@1:13 "
+         "P:>@1:15 P:!@1:17 P:&@1:19 P:|@1:21 P:^@1:23 P:~@1:25 "
+         "P:(@1:27 P:)@1:29 P:[@1:31 P:]@1:33 P:{@1:35 P:}@1:37 "
+         "P:,@1:39 P:;@1:41 P:?@1:43 P::@1:45 P:.@1:47 E:@1:48"},
+        {"a<<=b>>=c...d->e",
+         "I:a@1:1 P:<<=@1:2 I:b@1:5 P:>>=@1:6 I:c@1:9 P:...@1:10 "
+         "I:d@1:13 P:->@1:14 I:e@1:16 E:@1:17"},
+        {"a---b<=>c....d&&&e|||f",
+         "I:a@1:1 P:--@1:2 P:-@1:4 I:b@1:5 P:<=@1:6 P:>@1:8 I:c@1:9 "
+         "P:...@1:10 P:.@1:13 I:d@1:14 P:&&@1:15 P:&@1:17 I:e@1:18 "
+         "P:||@1:19 P:|@1:21 I:f@1:22 E:@1:23"},
+        {"a // line comment\nb /* block\n comment */ c /**/d/ /*x*/\n",
+         "I:a@1:1 I:b@2:1 I:c@3:13 I:d@3:19 P:/@3:20 E:@4:1"},
+        {"0 42 7L 7l 8u 9UL 1.5 .5 1. 2.5f 3F 1e10 1E-3 2.5e+4f 6.0L",
+         "N:0@1:1 N:42@1:3 N:7L@1:6 N:7l@1:9 N:8u@1:12 N:9UL@1:15 "
+         "F:1.5@1:19 F:.5@1:23 F:1.@1:26 F:2.5f@1:29 F:3F@1:34 "
+         "F:1e10@1:37 F:1E-3@1:42 F:2.5e+4f@1:47 F:6.0L@1:55 E:@1:59"},
+        {"int long float double void for while do if else return break "
+         "continue const __protect",
+         "K:int@1:1 K:long@1:5 K:float@1:10 K:double@1:16 K:void@1:23 "
+         "K:for@1:28 K:while@1:32 K:do@1:38 K:if@1:41 K:else@1:44 "
+         "K:return@1:49 K:break@1:56 K:continue@1:62 K:const@1:71 "
+         "K:__protect@1:77 E:@1:86"},
+        {"__protect(eddi) integer fort _x x1 __protected",
+         "K:__protect@1:1 P:(@1:10 I:eddi@1:11 P:)@1:15 I:integer@1:17 "
+         "I:fort@1:25 I:_x@1:30 I:x1@1:33 I:__protected@1:36 E:@1:47"},
+        {"\tint\r\n  x;\f\v",
+         "K:int@1:2 I:x@2:3 P:;@2:4 E:@2:7"},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(renderTokens(c.source), c.tokens) << c.source;
+}
+
+// Out-of-range and malformed number literals are located parse
+// errors, never an exception out of the compiler.
+TEST(Lexer, BadNumberLiteralsAreDiagnosed)
+{
+    struct Case
+    {
+        const char *source;
+        const char *diagnostic;
+    };
+    const Case cases[] = {
+        {"int f() { return 99999999999999999999; }",
+         "error at 1:18: integer literal '99999999999999999999' out of "
+         "range"},
+        {"double f() { return 1e999; }",
+         "error at 1:21: floating literal '1e999' out of range"},
+        {"int f(int a[99999999999999999999]) { return 0; }",
+         "error at 1:13: integer literal '99999999999999999999' out of "
+         "range"},
+        {"double f() { return 1.2.3; }",
+         "error at 1:21: malformed number literal '1.2.3'"},
+        {"double f() { return 1e+; }",
+         "error at 1:21: malformed number literal '1e+'"},
+        {"double f() { return 2.5e3e4; }",
+         "error at 1:21: malformed number literal '2.5e3e4'"},
+        {"int f() { return 7u5; }",
+         "error at 1:18: malformed number literal '7u5'"},
+    };
+    for (const Case &c : cases) {
+        ir::Module module;
+        DiagEngine diags;
+        EXPECT_FALSE(frontend::compileMiniC(c.source, module, diags))
+            << c.source;
+        ASSERT_FALSE(diags.all().empty()) << c.source;
+        EXPECT_EQ(diags.all().front().str(), c.diagnostic);
+    }
+
+    // The largest literals still in range keep their values.
+    ir::Module module;
+    frontend::compileMiniCOrDie(
+        "long f() { return 9223372036854775807L; }\n"
+        "double g() { return 1.5e308 + .5 + 1. + 2e-3; }\n",
+        module);
+    const std::string text = ir::printModule(module);
+    EXPECT_NE(text.find("9223372036854775807"), std::string::npos)
+        << text;
 }

@@ -288,18 +288,33 @@ TEST(FuzzDifferential, RecompileReproducesContentHash)
         std::string src = generate(seed);
         SCOPED_TRACE("seed " + std::to_string(seed));
 
-        ir::Module first, second;
-        frontend::compileMiniCOrDie(src, first);
+        ir::Module first, second, reused;
+        DiagEngine diags;
+        frontend::CompileResult compiled =
+            frontend::compileMiniCReusing(src, first, diags, {});
+        ASSERT_TRUE(compiled.ok) << diags.dump();
         frontend::compileMiniCOrDie(src, second);
+        // Compiled against its own previous module, every function
+        // is cloned instead of recompiled.
+        frontend::CompileResult again = frontend::compileMiniCReusing(
+            src, reused, diags, {&first, &compiled.keys});
+        ASSERT_TRUE(again.ok) << diags.dump();
+        EXPECT_EQ(again.reused, std::vector<std::string>{"fuzz"});
 
         // Same source, same pipeline: textual IR and the incremental
-        // match cache's content hashes must reproduce exactly.
+        // match cache's content hashes must reproduce exactly, cloned
+        // or not.
         EXPECT_EQ(ir::printModule(first), ir::printModule(second));
+        EXPECT_EQ(ir::printModule(reused), ir::printModule(second));
         ASSERT_EQ(first.functions().size(), second.functions().size());
+        ASSERT_EQ(reused.functions().size(), second.functions().size());
         for (size_t i = 0; i < first.functions().size(); ++i) {
             EXPECT_EQ(first.functions()[i]->contentHash(),
                       second.functions()[i]->contentHash())
                 << first.functions()[i]->name();
+            EXPECT_EQ(reused.functions()[i]->contentHash(),
+                      second.functions()[i]->contentHash())
+                << reused.functions()[i]->name();
         }
     }
 }

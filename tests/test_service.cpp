@@ -435,6 +435,66 @@ TEST(MatchService, CompileErrorKeepsPreviousSession)
     EXPECT_EQ(svc.sessionCount(), 0u);
 }
 
+TEST(MatchService, ResubmissionReusesUnchangedFunctions)
+{
+    service::MatchService svc;
+    ASSERT_TRUE(svc.submit("clientA", clientSource(100, 50)).ok);
+    EXPECT_EQ(svc.serviceCounters().compileReused, 0u);
+
+    // Only histo changed: reduce and helper keep their compiled IR,
+    // and the result is what a cold service computes.
+    auto edited = svc.submit("clientA", clientSource(100, 51));
+    ASSERT_TRUE(edited.ok) << edited.error;
+    EXPECT_EQ(svc.serviceCounters().compileReused, 2u);
+    service::MatchService cold;
+    auto fresh = cold.submit("clientA", clientSource(100, 51));
+    ASSERT_EQ(edited.perFunction.size(), fresh.perFunction.size());
+    for (size_t i = 0; i < fresh.perFunction.size(); ++i) {
+        EXPECT_EQ(edited.perFunction[i].name, fresh.perFunction[i].name);
+        EXPECT_EQ(edited.perFunction[i].contentHash,
+                  fresh.perFunction[i].contentHash);
+    }
+    EXPECT_EQ(edited.matches, fresh.matches);
+
+    // A failed SUBMIT leaves the session to reuse from intact...
+    EXPECT_FALSE(svc.submit("clientA", "void broken( {").ok);
+    EXPECT_EQ(svc.serviceCounters().compileReused, 2u);
+    auto again = svc.submit("clientA", clientSource(100, 52));
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_EQ(svc.serviceCounters().compileReused, 4u);
+    EXPECT_EQ(again.cacheHits, 2u);
+
+    // ...a session of another module is never a source, and DROP
+    // removes the source along with the session.
+    ASSERT_TRUE(svc.submit("clientB", clientSource(100, 52)).ok);
+    EXPECT_EQ(svc.serviceCounters().compileReused, 4u);
+    EXPECT_TRUE(svc.drop("clientA"));
+    ASSERT_TRUE(svc.submit("clientA", clientSource(100, 52)).ok);
+    EXPECT_EQ(svc.serviceCounters().compileReused, 4u);
+    EXPECT_EQ(svc.serviceCounters().invalidIr, 0u);
+}
+
+TEST(MatchService, BadNumberLiteralIsACompileError)
+{
+    service::MatchService svc;
+    ASSERT_TRUE(svc.submit("clientA", clientSource()).ok);
+    const char *sources[] = {
+        "int f() { return 99999999999999999999; }",
+        "double f() { return 1e999; }",
+        "int f(int a[99999999999999999999]) { return 0; }",
+        "double f() { return 1.2.3; }",
+    };
+    for (const char *src : sources) {
+        service::SubmitOutcome bad;
+        ASSERT_NO_THROW(bad = svc.submit("clientA", src)) << src;
+        EXPECT_FALSE(bad.ok) << src;
+        EXPECT_EQ(bad.error.rfind("error at 1:", 0), 0u) << bad.error;
+    }
+    service::SubmitOutcome last;
+    ASSERT_TRUE(svc.lastOutcome("clientA", &last));
+    EXPECT_TRUE(last.ok);
+}
+
 // ------------------------------------------------------- line proto
 
 TEST(Protocol, ParseRequests)
@@ -489,6 +549,57 @@ TEST(Protocol, ReplScriptedEditSession)
     EXPECT_NE(transcript.find("ERR unknown verb: BOGUS"),
               std::string::npos);
     EXPECT_NE(transcript.find("OK bye"), std::string::npos);
+}
+
+TEST(Protocol, StatsCountsReuseAndInvalidIr)
+{
+    const std::string v1 = clientSource(100, 50);
+    const std::string v2 = clientSource(100, 51);
+    std::ostringstream script;
+    script << "STATS\n";
+    script << "SUBMIT editsess " << v1.size() << "\n" << v1;
+    script << "SUBMIT editsess " << v2.size() << "\n" << v2;
+    script << "STATS\n";
+
+    service::MatchService svc;
+    std::istringstream in(script.str());
+    std::ostringstream out;
+    EXPECT_EQ(service::runRepl(svc, in, out), 4u);
+    const std::string transcript = out.str();
+    // The new keys follow sessions=, which keeps its place.
+    EXPECT_NE(transcript.find(" insertions=0 sessions=0 "
+                              "compile_reused=0 invalid_ir=0\n"),
+              std::string::npos)
+        << transcript;
+    EXPECT_NE(transcript.find(" sessions=1 compile_reused=2 "
+                              "invalid_ir=0\n"),
+              std::string::npos)
+        << transcript;
+
+    // Returns without a value: codegen emits "ret void" in an int
+    // function. Under boundary verification (REPRO_VERIFY=1) the
+    // codegen boundary throws first, an internal error the counter
+    // does not see; otherwise the final verifier rejects the module.
+    if (ir::defaultVerifyMode() == ir::VerifyMode::Boundaries) {
+        EXPECT_THROW(svc.submit("editsess", "int f() { return; }"),
+                     InternalError);
+        EXPECT_EQ(svc.serviceCounters().invalidIr, 0u);
+        return;
+    }
+    service::SubmitOutcome bad = svc.submit("editsess", "int f() { return; }");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.error.rfind("error: invalid-ir rule=op-type "
+                              "function=@f",
+                              0),
+              0u)
+        << bad.error;
+    std::istringstream stats("STATS\n");
+    std::ostringstream statsOut;
+    service::runRepl(svc, stats, statsOut);
+    EXPECT_NE(statsOut.str().find(" sessions=1 compile_reused=2 "
+                                  "invalid_ir=1\n"),
+              std::string::npos)
+        << statsOut.str();
 }
 
 TEST(Protocol, OversizedCountedSubmitIsRejectedBeforeAllocation)
@@ -628,5 +739,28 @@ TEST(SocketServer, UnixSocketEditSessionRoundTrip)
     // The warm submission went through the shared service state.
     EXPECT_EQ(svc.sessionCount(), 1u);
     EXPECT_EQ(svc.cacheCounters().hits, 3u);
+
+    {
+        // An out-of-range literal is an ordinary compile error: the
+        // connection survives it (it used to escape the handler as
+        // std::out_of_range and close the connection).
+        const std::string bad = "int f() { return 99999999999999999999; }";
+        UnixClient client(path);
+        ASSERT_TRUE(client.connected());
+        std::ostringstream script;
+        script << "SUBMIT sockmod " << bad.size() << "\n" << bad;
+        script << "STATS\n";
+        script << "QUIT\n";
+        client.send(script.str());
+
+        const std::string transcript = client.drain();
+        EXPECT_NE(transcript.find("ERR error at 1:18: integer literal "
+                                  "'99999999999999999999' out of range\n"
+                                  "OK entries="),
+                  std::string::npos)
+            << transcript;
+        EXPECT_EQ(transcript.find("internal error"), std::string::npos);
+        EXPECT_NE(transcript.find("OK bye"), std::string::npos);
+    }
     server.stop();
 }
