@@ -94,7 +94,7 @@ planKernelSlice(const Value *out, const Instruction *region_begin,
 Function *
 materializeKernel(Module &module, const std::string &name,
                   const KernelSlice &slice,
-                  const std::map<const Value *, Value *> *remap)
+                  const std::map<const Value *, Value *> &remap)
 {
     std::vector<Type *> params;
     for (const Value *v : slice.inputs)
@@ -111,11 +111,9 @@ materializeKernel(Module &module, const std::string &name,
     // may still hold the planned value or already the substitute.
     auto map_param = [&](const Value *v, Value *arg) {
         mapping[v] = arg;
-        if (remap) {
-            auto it = remap->find(v);
-            if (it != remap->end())
-                mapping[it->second] = arg;
-        }
+        auto it = remap.find(v);
+        if (it != remap.end())
+            mapping[it->second] = arg;
     };
     for (size_t i = 0; i < slice.inputs.size(); ++i) {
         map_param(slice.inputs[i], func->arg(i));
@@ -161,22 +159,6 @@ materializeKernel(Module &module, const std::string &name,
     ret->addOperand(result);
     entry->append(std::move(ret));
     return func;
-}
-
-std::optional<ExtractedKernel>
-extractKernel(Module &module, const std::string &name, const Value *out,
-              const Instruction *region_begin,
-              const std::vector<const Value *> &inputs,
-              const DomTree &dom, const Instruction *call_point)
-{
-    auto slice =
-        planKernelSlice(out, region_begin, inputs, dom, call_point);
-    if (!slice)
-        return std::nullopt;
-    ExtractedKernel extracted;
-    extracted.func = materializeKernel(module, name, *slice);
-    extracted.invariants = slice->invariants;
-    return extracted;
 }
 
 } // namespace repro::transform

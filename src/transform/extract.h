@@ -8,9 +8,7 @@
  * RewriteEngine (rewrite.h) can plan without mutating the module:
  * planKernelSlice classifies the backward slice and computes the
  * loop-invariant parameter list purely, and materializeKernel builds
- * the function from a previously computed slice. extractKernel is the
- * one-shot composition of the two, kept for the legacy per-match
- * reference path.
+ * the function from a previously computed slice at commit time.
  */
 #ifndef TRANSFORM_EXTRACT_H
 #define TRANSFORM_EXTRACT_H
@@ -44,14 +42,6 @@ struct KernelSlice
     std::vector<const ir::Value *> invariants;
 };
 
-/** Result of a successful extraction. */
-struct ExtractedKernel
-{
-    ir::Function *func = nullptr;
-    /** Loop-invariant values that became trailing parameters. */
-    std::vector<const ir::Value *> invariants;
-};
-
 /**
  * Classify the computation of @p out without touching the IR.
  *
@@ -78,7 +68,7 @@ planKernelSlice(const ir::Value *out,
  * Build the kernel function @p name from a slice computed by
  * planKernelSlice. The slice's source region must still be intact.
  *
- * @param remap optional value substitutions performed by rewrites
+ * @param remap value substitutions performed by rewrites
  *        committed since the slice was planned (e.g. a reduction
  *        result replaced by its API call): any slice value with an
  *        entry here is ALSO mapped to the corresponding parameter, so
@@ -90,19 +80,7 @@ ir::Function *
 materializeKernel(ir::Module &module, const std::string &name,
                   const KernelSlice &slice,
                   const std::map<const ir::Value *, ir::Value *>
-                      *remap = nullptr);
-
-/**
- * One-shot extraction: planKernelSlice + materializeKernel. Used by
- * the legacy per-match reference path; new code should plan first and
- * materialize at commit time.
- */
-std::optional<ExtractedKernel>
-extractKernel(ir::Module &module, const std::string &name,
-              const ir::Value *out, const ir::Instruction *region_begin,
-              const std::vector<const ir::Value *> &inputs,
-              const analysis::DomTree &dom,
-              const ir::Instruction *call_point);
+                      &remap);
 
 } // namespace repro::transform
 

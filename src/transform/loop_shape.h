@@ -4,12 +4,9 @@
  * the loop skeleton bound by a For solution, the trampoline-block
  * instruction inserter, the loop-bypass surgery, and the purity /
  * effect-coverage predicates every scheme checks before claiming a
- * loop.
- *
- * Both the transactional RewriteEngine (rewrite.h) and the legacy
- * per-match reference path (Transformer::applyAllReference) build on
- * these helpers, which is what keeps the two byte-identical on inputs
- * where the legacy path is well defined.
+ * loop. The RewriteEngine's planners and commit stage (rewrite.h)
+ * build on them; any change here that alters a planner's checks or the
+ * IR a commit produces shows up in Transform.Table1SuiteGolden.
  */
 #ifndef TRANSFORM_LOOP_SHAPE_H
 #define TRANSFORM_LOOP_SHAPE_H

@@ -20,11 +20,11 @@ using solver::Solution;
 
 // ------------------------------------------------------------- planners
 //
-// Each planner mirrors the legacy scheme check-for-check (same order,
-// same name-counter consumption points) so that on inputs where the
-// legacy path is well defined the committed IR is byte-identical.
-// Unlike the legacy schemes they stop short of mutation: everything
-// the commit stage needs is recorded in the RewritePlan.
+// Planners never mutate: everything the commit stage needs is recorded
+// in the RewritePlan. Each planner's check order and the points where
+// it consumes the module's name counter are behaviour, not style:
+// Transform.Table1SuiteGolden pins the callee and kernel names they
+// produce and the order functions are appended to the module.
 
 std::optional<RewritePlan>
 RewriteEngine::planSpmv(const idioms::IdiomMatch &match)
@@ -1106,12 +1106,12 @@ RewriteEngine::commitPlan(
         return it == remap.end() ? v : it->second;
     };
 
-    // Kernels first, then the callee: module function order matches
-    // the legacy per-match path exactly.
+    // Kernels first, then the callee: the module's function order is
+    // pinned by Transform.Table1SuiteGolden.
     std::vector<Function *> kernelFuncs;
     for (const PlannedKernel &pk : plan.kernels) {
         Function *kf =
-            materializeKernel(module_, pk.name, pk.slice, &remap);
+            materializeKernel(module_, pk.name, pk.slice, remap);
         undo.push_back([this, kf] { module_.removeFunction(kf); });
         kernelFuncs.push_back(kf);
     }

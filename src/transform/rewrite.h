@@ -2,18 +2,17 @@
  * @file
  * The transactional rewrite engine: plan → validate → commit.
  *
- * The legacy transform path replaced matches one at a time, running
- * cleanup passes (unreachable-block removal + aggressive DCE) after
- * every replacement while later matches in the same function still
- * held raw Value and Instruction pointers from their solutions. Two
- * bug classes followed:
+ * Replacing matches one at a time, with cleanup passes (unreachable-
+ * block removal + aggressive DCE) after every replacement while later
+ * matches in the same function still hold raw Value and Instruction
+ * pointers from their solutions, invites two bug classes:
  *
  *  - overlap double-rewrite: two matches claiming the same loop
- *    blocks (a Reduction inside a GEMM nest) were both applied; the
- *    second rewrote blocks the first had already bypassed — or
- *    dereferenced blocks the first's cleanup had erased;
- *  - stale solution pointers: the first replacement's DCE erased an
- *    instruction a later match's solution still referenced, a
+ *    blocks (a Reduction inside a GEMM nest) are both applied; the
+ *    second rewrites blocks the first has already bypassed — or
+ *    dereferences blocks the first's cleanup has erased;
+ *  - stale solution pointers: the first replacement's DCE erases an
+ *    instruction a later match's solution still references, a
  *    use-after-free even for fully disjoint matches.
  *
  * The RewriteEngine stages mutation instead:

@@ -8,13 +8,12 @@
  * body's kernel function is extracted into a fresh IR function that
  * the runtime skeleton invokes per element.
  *
- * Since the transactional rework, all rewriting is staged through the
- * RewriteEngine (rewrite.h): matches are planned purely, overlapping
- * block claims are resolved most-specific-first, every plan is
- * validated against the live IR, and mutation happens in one
- * per-function-atomic commit with cleanup passes run once at the end.
- * The legacy one-match-at-a-time path survives as applyAllReference
- * for differential testing only.
+ * All rewriting is staged through the RewriteEngine (rewrite.h):
+ * matches are planned purely, overlapping block claims are resolved
+ * most-specific-first, every plan is validated against the live IR,
+ * and mutation happens in one per-function-atomic commit with cleanup
+ * passes run once at the end. Transformer is the stable entry point
+ * in front of it.
  */
 #ifndef TRANSFORM_TRANSFORM_H
 #define TRANSFORM_TRANSFORM_H
@@ -22,7 +21,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,10 +111,9 @@ struct Replacement
  * control flow that does not reduce to selects) are skipped — the
  * idiom still counts as detected, it is just not exploited.
  *
- * One Transformer owns one RewriteEngine (and with it the module's
- * kernel/callee name counter): use a fresh instance per transform
- * pass, and do not mix the engine-backed entry points with
- * applyAllReference on the same instance.
+ * One Transformer owns one RewriteEngine, and with it the module's
+ * kernel/callee name counter: use a fresh instance per transform
+ * pass.
  */
 class Transformer
 {
@@ -124,16 +121,12 @@ class Transformer
     /**
      * @p verify is forwarded to the engine: with
      * VerifyMode::Boundaries, every commit and rollback re-verifies
-     * the touched function (see RewriteEngine). The legacy
-     * applyAllReference path ignores it.
+     * the touched function (see RewriteEngine).
      */
     explicit Transformer(ir::Module &module,
                          ir::VerifyMode verify = ir::VerifyMode::Off,
                          BackendConfig backends = BackendConfig());
     ~Transformer();
-
-    /** Try to replace one match; nullopt when unsupported. */
-    std::optional<Replacement> apply(const idioms::IdiomMatch &match);
 
     /**
      * Apply every match, most specific first: plan all replacements
@@ -143,48 +136,11 @@ class Transformer
     std::vector<Replacement>
     applyAll(const std::vector<idioms::IdiomMatch> &matches);
 
-    /**
-     * The legacy pre-engine path (the solveAllReference/runReference
-     * pattern): replace matches one at a time, running cleanup passes
-     * after every replacement, with no overlap tracking and no
-     * stale-pointer validation. Byte-identical to applyAll on match
-     * sets where it is well defined — i.e. non-overlapping matches
-     * whose solutions stay disjoint from each other's cleanup — and
-     * undefined behavior outside that; kept briefly for differential
-     * testing.
-     */
-    std::vector<Replacement>
-    applyAllReference(const std::vector<idioms::IdiomMatch> &matches);
-
-    /** Replacements performed so far. */
-    const std::vector<Replacement> &replacements() const
-    {
-        return done_;
-    }
-
-    /** The engine behind apply/applyAll (stats inspection). */
+    /** The engine behind applyAll (stats inspection). */
     const RewriteEngine &engine() const { return *engine_; }
 
   private:
-    /** Legacy per-match scheme bodies (reference path only). */
-    std::optional<Replacement>
-    applyReference(const idioms::IdiomMatch &match);
-    std::optional<Replacement>
-    applySpmv(const idioms::IdiomMatch &match);
-    std::optional<Replacement>
-    applyGemm(const idioms::IdiomMatch &match);
-    std::optional<Replacement>
-    applyReduction(const idioms::IdiomMatch &match);
-    std::optional<Replacement>
-    applyHistogram(const idioms::IdiomMatch &match);
-    std::optional<Replacement>
-    applyStencil(const idioms::IdiomMatch &match, int dims);
-
-    ir::Module &module_;
     std::unique_ptr<RewriteEngine> engine_;
-    std::vector<Replacement> done_;
-    /** Name counter of the reference path (the engine has its own). */
-    int counter_ = 0;
 };
 
 } // namespace repro::transform

@@ -5,8 +5,6 @@
 #include "ir/printer.h"
 #include "runtime/blas.h"
 #include "runtime/device_model.h"
-#include "runtime/halide_like.h"
-#include "runtime/lift_like.h"
 #include "runtime/sparse.h"
 #include "benchmarks/suite.h"
 
@@ -66,60 +64,6 @@ TEST(Sparse, EllmvHandlesPadding)
     runtime::sparse::ellmv(2, 2, indices, data, x, y);
     EXPECT_DOUBLE_EQ(y[0], 2.0 * 10.0 + 4.0 * 100.0);
     EXPECT_DOUBLE_EQ(y[1], 3.0 * 100.0);
-}
-
-TEST(Lift, PatternsComposeAndEvaluate)
-{
-    using namespace runtime::lift;
-    auto v = input(Value::fromVector({1, 2, 3, 4}));
-    auto add1 = map(
-        [](const Value &x) { return Value(x.scalar() + 1.0); }, v);
-    auto total = reduce(
-        [](const Value &a, const Value &x) {
-            return Value(a.scalar() + x.scalar());
-        },
-        Value(0.0), add1);
-    EXPECT_DOUBLE_EQ(eval(total).scalar(), 2 + 3 + 4 + 5);
-
-    // slide is the Lift stencil primitive: windows of 3, step 1.
-    auto windows = slide(3, 1, v);
-    Value w = eval(windows);
-    ASSERT_EQ(w.size(), 2u);
-    EXPECT_DOUBLE_EQ(w.items()[0].items()[2].scalar(), 3.0);
-
-    auto m = input(Value::fromMatrix({1, 2, 3, 4, 5, 6}, 2, 3));
-    Value t = eval(transpose(m));
-    ASSERT_EQ(t.size(), 3u);
-    EXPECT_DOUBLE_EQ(t.items()[2].items()[1].scalar(), 6.0);
-    EXPECT_EQ(eval(join(m)).size(), 6u);
-
-    std::string cl = generateOpenCl(total, "sum");
-    EXPECT_NE(cl.find("__kernel"), std::string::npos);
-}
-
-TEST(Halide, StencilRealizeWithClampedBorders)
-{
-    using namespace runtime::halide;
-    Buffer in = Buffer::make({4, 4});
-    for (size_t i = 0; i < in.data.size(); ++i)
-        in.data[i] = static_cast<double>(i);
-
-    Func blur("blur");
-    blur.define((inputAt(0, {0, -1}) + inputAt(0, {0, 1}) +
-                 inputAt(0, {0, 0})) /
-                constant(3.0));
-    blur.schedule().parallelOuter = true;
-    blur.schedule().vectorWidth = 4;
-
-    Buffer out = blur.realize({4, 4}, {&in});
-    // Interior cell (1,1): mean of (1,0),(1,2),(1,1).
-    EXPECT_DOUBLE_EQ(out.data[1 * 4 + 1], (4 + 6 + 5) / 3.0);
-    // Border clamps: (0,0) uses (0,-1)->(0,0).
-    EXPECT_DOUBLE_EQ(out.data[0], (0 + 1 + 0) / 3.0);
-
-    std::string src = blur.compileToSource();
-    EXPECT_NE(src.find("parallel(y)"), std::string::npos);
-    EXPECT_NE(src.find("vectorize(x,4)"), std::string::npos);
 }
 
 TEST(DeviceModel, LazyCopyNeverSlower)
