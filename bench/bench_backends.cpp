@@ -127,9 +127,8 @@ main(int argc, char **argv)
             for (const auto &loop : fa.loopInfo().loops()) {
                 if (loop->parent)
                     continue;
-                row.workload = analysis::estimateWorkload(
-                    fa.loopInfo(), loop.get(),
-                    analysis::InstCountFn());
+                row.workload =
+                    analysis::estimateWorkload(fa.loopInfo(), loop.get());
             }
         }
         std::printf("N=%4d  chosen=%-14s predicted=%.6g ms  "
@@ -165,6 +164,8 @@ main(int argc, char **argv)
         out << "{\n  \"bench\": \"backends\",\n"
             << "  \"kernel\": \"gemm\",\n"
             << "  \"policy\": \"cost_model\",\n"
+            << "  \"costs\": \"modeled\",\n"
+            << "  \"workload\": \"static estimate\",\n"
             << "  \"rows\": [\n";
         for (size_t i = 0; i < rows.size(); ++i) {
             const Row &r = rows[i];

@@ -1,8 +1,9 @@
 /**
  * @file
  * Parallel matching walkthrough: shard a multi-function module and
- * the whole NAS/Parboil corpus over worker threads, and check the
- * results are byte-identical to the serial driver.
+ * the whole NAS/Parboil corpus over worker threads with
+ * MatchingDriver::matchModules, and check the results are
+ * byte-identical to one-thread matching.
  *
  * Exits 0 when serial and parallel agree (the CTest smoke contract).
  */
@@ -49,8 +50,8 @@ main()
     ir::Module serialModule;
     auto serial = drv.compileAndMatch(src.str(), serialModule);
     ir::Module parallelModule;
-    auto parallel =
-        drv.compileAndMatchParallel(src.str(), parallelModule, 4);
+    frontend::compileMiniCOrDie(src.str(), parallelModule);
+    auto parallel = std::move(drv.matchModules({&parallelModule}, 4)[0]);
 
     std::printf("one module, 8 functions:  serial %zu matches, "
                 "4 threads %zu matches\n",
@@ -61,8 +62,7 @@ main()
     }
 
     // 2. The Table 1 corpus: one shared work queue across 21
-    // single-function modules (runParallelBatch), against per-module
-    // serial matching.
+    // single-function modules, against per-module serial matching.
     std::vector<std::unique_ptr<ir::Module>> modules;
     std::vector<ir::Module *> ptrs;
     std::vector<std::string> serialKeys, parallelKeys;
@@ -78,7 +78,7 @@ main()
         for (auto &k : keysOf(report))
             serialKeys.push_back(std::move(k));
     }
-    for (const auto &report : drv.runParallelBatch(ptrs, 4)) {
+    for (const auto &report : drv.matchModules(ptrs, 4)) {
         parallelCount += report.matchCount();
         for (auto &k : keysOf(report))
             parallelKeys.push_back(std::move(k));

@@ -1,19 +1,20 @@
 /**
  * @file
  * Bundle of per-function analyses shared by the constraint solver, the
- * baseline detectors and the transformation phase.
+ * baseline detectors and the transformation phase. A bundle is built
+ * for one function and lives no longer than one matching call over
+ * it; nothing caches it across calls, so it never outlives the
+ * function's IR.
  */
 #ifndef ANALYSIS_FUNCTION_ANALYSES_H
 #define ANALYSIS_FUNCTION_ANALYSES_H
 
-#include <map>
 #include <memory>
 
 #include "analysis/candidate_index.h"
 #include "analysis/cfg.h"
 #include "analysis/dominators.h"
 #include "analysis/loops.h"
-#include "analysis/workload.h"
 
 namespace repro::analysis {
 
@@ -86,40 +87,6 @@ class FunctionAnalyses
     bool hasMemoryDependenceEdge(const Instruction *a,
                                  const Instruction *b);
 
-    /**
-     * Dynamic workload descriptors keyed by natural-loop header,
-     * deposited by the driver after a profiled run of the original
-     * program (MatchingDriver::profileWorkloads) and consumed by the
-     * transform layer's backend cost model. Absent headers fall back
-     * to the static estimate.
-     */
-    void
-    setWorkload(const BasicBlock *header, WorkloadDescriptor wd)
-    {
-        workloads_[header] = wd;
-    }
-
-    const WorkloadDescriptor *
-    workloadFor(const BasicBlock *header) const
-    {
-        auto it = workloads_.find(header);
-        return it == workloads_.end() ? nullptr : &it->second;
-    }
-
-    bool hasWorkloads() const { return !workloads_.empty(); }
-
-    /** Invalidate after the function is mutated. */
-    void
-    invalidate()
-    {
-        dom_.reset();
-        postDom_.reset();
-        cfg_.reset();
-        loops_.reset();
-        candidates_.reset();
-        workloads_.clear();
-    }
-
   private:
     Function *func_;
     std::unique_ptr<DomTree> dom_;
@@ -127,7 +94,6 @@ class FunctionAnalyses
     std::unique_ptr<InstCFG> cfg_;
     std::unique_ptr<LoopInfo> loops_;
     std::unique_ptr<CandidateIndex> candidates_;
-    std::map<const BasicBlock *, WorkloadDescriptor> workloads_;
 };
 
 /**

@@ -166,8 +166,7 @@ isFpArith(const ir::Instruction *inst)
 } // namespace
 
 WorkloadDescriptor
-estimateWorkload(const LoopInfo &loops, const Loop *loop,
-                 const InstCountFn &counts)
+estimateWorkload(const LoopInfo &loops, const Loop *loop)
 {
     WorkloadDescriptor wd;
 
@@ -177,41 +176,14 @@ estimateWorkload(const LoopInfo &loops, const Loop *loop,
     for (const Loop *l : nest)
         headers[l->header] = l;
 
-    // Dynamic header counts (0 everywhere = no profile).
-    auto headerCount = [&](const Loop *l) -> double {
-        const ir::Instruction *term = l->header->terminator();
-        return counts && term
-                   ? static_cast<double>(counts(term))
-                   : 0.0;
-    };
-    double rootCount = headerCount(loop);
-    wd.fromProfile = rootCount > 0.0;
-
-    if (wd.fromProfile) {
-        ir::BasicBlock *pre = loop->preheader();
-        double entries =
-            pre && pre->terminator()
-                ? static_cast<double>(counts(pre->terminator()))
-                : 1.0;
-        wd.invocations = std::max(entries, 1.0);
-    }
-
     // Per-entry trips of each nest loop (relative to its parent).
     std::map<const Loop *, double> trip;
-    for (const Loop *l : nest) {
-        if (wd.fromProfile) {
-            double own = headerCount(l);
-            double outer = l == loop ? wd.invocations
-                                     : headerCount(l->parent);
-            trip[l] = outer > 0.0 ? std::max(own / outer, 1.0) : 1.0;
-        } else {
-            trip[l] = staticTrip(l);
-        }
-    }
+    for (const Loop *l : nest)
+        trip[l] = staticTrip(l);
     wd.tripCount = trip[loop];
 
-    // Arithmetic and traffic: exact profile sums when available,
-    // otherwise block weight = product of enclosing nest trips.
+    // Arithmetic and traffic: block weight = product of enclosing nest
+    // trips.
     auto blockWeight = [&](const ir::BasicBlock *bb) {
         double w = 1.0;
         for (const Loop *l = loops.loopFor(bb); l;
@@ -231,12 +203,8 @@ estimateWorkload(const LoopInfo &loops, const Loop *loop,
     std::vector<Access> accesses;
 
     for (const ir::BasicBlock *bb : loop->blocks) {
-        double weight = wd.fromProfile ? 0.0 : blockWeight(bb);
+        const double n = blockWeight(bb);
         for (const auto &inst : bb->insts()) {
-            double n = wd.fromProfile
-                           ? static_cast<double>(counts(inst.get())) /
-                                 wd.invocations
-                           : weight;
             if (isFpArith(inst.get())) {
                 wd.flops += n;
             } else if (inst->is(Opcode::Load)) {

@@ -5,16 +5,12 @@
  * A WorkloadDescriptor summarizes what one matched loop nest does per
  * entry: trip counts, arithmetic, memory traffic and the footprint
  * that would have to be shipped to a discrete device. Descriptors are
- * built either from the interpreter's dynamic per-instruction profile
- * (Profile counts, exact) or from a static trip-count estimate
- * (constant loop bounds, default trip when unknown) so the cost layer
- * always has something to rank backends with (docs/BACKENDS.md).
+ * static estimates (constant loop bounds, a default trip count when a
+ * bound is unknown), so the cost layer always has something to rank
+ * backends with (docs/BACKENDS.md).
  */
 #ifndef ANALYSIS_WORKLOAD_H
 #define ANALYSIS_WORKLOAD_H
-
-#include <cstdint>
-#include <functional>
 
 #include "analysis/loops.h"
 
@@ -33,26 +29,14 @@ struct WorkloadDescriptor
     double transferBytes = 0.0;
     /** Entries of the nest per program run. */
     double invocations = 1.0;
-    /** Built from a dynamic profile (else static estimate). */
-    bool fromProfile = false;
 };
 
 /**
- * Dynamic execution count of an instruction; return 0 everywhere for
- * "no profile" (interp::Profile supplies the real thing — the getter
- * indirection keeps this layer interpreter-free).
- */
-using InstCountFn = std::function<uint64_t(const ir::Instruction *)>;
-
-/**
- * Estimate the workload of the loop nest rooted at @p loop. With a
- * non-null @p counts whose header count is non-zero the descriptor is
- * derived from the dynamic profile; otherwise from static constant
- * loop bounds (unknown bounds default to 64 trips).
+ * Estimate the workload of the loop nest rooted at @p loop from static
+ * constant loop bounds (unknown bounds default to 64 trips).
  */
 WorkloadDescriptor estimateWorkload(const LoopInfo &loops,
-                                    const Loop *loop,
-                                    const InstCountFn &counts);
+                                    const Loop *loop);
 
 } // namespace repro::analysis
 

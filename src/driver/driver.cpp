@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "analysis/dominators.h"
+#include "analysis/function_analyses.h"
 #include "analysis/loops.h"
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
@@ -34,8 +35,8 @@ resolveThreads(unsigned requested, size_t numItems)
 }
 
 /**
- * The work-stealing shard pool shared by the parallel matcher
- * (matchShards) and the parallel transform-verification harness:
+ * The work-stealing shard pool shared by matchModules (match and
+ * transform stages) and the transform-verification harness:
  * @p work(item, worker) runs once per item index on one of
  * @p numThreads workers (already resolved via resolveThreads). One
  * shared counter is the queue: idle workers pop the next unclaimed
@@ -118,9 +119,6 @@ MatchReport
 MatchingDriver::compileAndMatch(const std::string &source,
                                 ir::Module &module)
 {
-    // A new batch over a new module: entries from any earlier module
-    // are stale (its functions may even share recycled addresses).
-    invalidateAll();
     frontend::compileMiniCOrDie(source, module, opts_.verify);
     return matchModule(module);
 }
@@ -128,126 +126,54 @@ MatchingDriver::compileAndMatch(const std::string &source,
 MatchReport
 MatchingDriver::matchModule(ir::Module &module)
 {
-    MatchReport report;
-    for (const auto &f : module.functions()) {
-        if (f->isDeclaration())
-            continue;
-        FunctionReport fr;
-        fr.function = f.get();
-        bool replayed = false;
-        if (opts_.cache) {
-            fr.contentHash = f->contentHash();
-            replayed = tryReplay(f.get(), &fr);
-            replayed ? ++report.cacheHits : ++report.cacheMisses;
-        }
-        if (!replayed) {
-            idioms::IdiomDetector detector(opts_.limits);
-            fr.matches =
-                detector.detect(f.get(), analysesFor(f.get()));
-            fr.stats = detector.stats();
-            fr.status = detector.status();
-            accumulate(fr.stats);
-            if (opts_.cache)
-                storeSolveResult(f.get(), fr);
-        }
-        report.status = solver::worseStatus(report.status, fr.status);
-        report.totals += fr.stats;
-        report.functions.push_back(std::move(fr));
-    }
-    if (opts_.applyTransforms) {
-        transform::Transformer transformer(module, opts_.verify,
-                                           backendConfig(true));
-        report.replacements = transformer.applyAll(report.allMatches());
-        // The transformation stage rewrites matched functions and adds
-        // extracted kernels; every cached analysis is suspect now.
-        invalidateAll();
-    }
-    return report;
+    return std::move(matchModules({&module}, 1).front());
 }
 
 transform::BackendConfig
-MatchingDriver::backendConfig(bool withWorkloads)
+MatchingDriver::backendConfig() const
 {
     transform::BackendConfig config;
     config.policy = opts_.backendPolicy;
     config.forced = opts_.forcedBackends;
-    if (withWorkloads) {
-        // Serves the profiled descriptors profileWorkloads deposited
-        // for the still-live module. Read-only on cache_: a function
-        // with no slot (or a rebuilt slot without workloads) falls
-        // back to the engine's static estimate.
-        config.workloads =
-            [this](const ir::Function *f, const ir::BasicBlock *header)
-            -> const analysis::WorkloadDescriptor * {
-            auto it = cache_.find(const_cast<ir::Function *>(f));
-            if (it == cache_.end() || !it->second.analyses)
-                return nullptr;
-            return it->second.analyses->workloadFor(header);
-        };
-    }
     return config;
 }
 
-void
-MatchingDriver::profileWorkloads(
-    ir::Module &module, const benchmarks::BenchmarkProgram &program)
+std::vector<MatchReport>
+MatchingDriver::matchModules(const std::vector<ir::Module *> &modules,
+                             unsigned numThreads)
 {
-    interp::Memory mem;
-    interp::Interpreter interp(module, mem);
-    interp::registerMathBuiltins(interp);
-    interp.enableProfile(true);
-    benchmarks::Instance instance = program.setup(mem);
-    ir::Function *entry = module.functionByName(program.entry);
-    if (!entry)
-        throw FatalError("profileWorkloads: no entry function @" +
-                         program.entry);
-    interp.run(entry, instance.args);
-    const interp::Profile &profile = interp.profile();
-    analysis::InstCountFn counts =
-        [&profile](const ir::Instruction *inst) -> uint64_t {
-        auto it = profile.counts.find(inst);
-        return it == profile.counts.end() ? 0 : it->second;
-    };
-    for (const auto &f : module.functions()) {
-        if (f->isDeclaration())
-            continue;
-        analysis::FunctionAnalyses &fa = analysesFor(f.get());
-        const analysis::LoopInfo &loops = fa.loopInfo();
-        for (const auto &loop : loops.loops())
-            fa.setWorkload(
-                loop->header,
-                analysis::estimateWorkload(loops, loop.get(), counts));
+    // Preassign report slots in module order so the result layout is
+    // deterministic before any worker runs; scheduling order never
+    // leaks into the report.
+    std::vector<MatchReport> reports(modules.size());
+    for (size_t m = 0; m < modules.size(); ++m) {
+        for (const auto &f : modules[m]->functions()) {
+            if (!f->isDeclaration())
+                reports[m].functions.emplace_back().function = f.get();
+        }
     }
-}
+    std::vector<FunctionReport *> slots;
+    for (auto &report : reports) {
+        for (auto &fr : report.functions)
+            slots.push_back(&fr);
+    }
 
-solver::SolveStats
-MatchingDriver::matchShards(
-    const std::vector<std::pair<ir::Function *, FunctionReport *>>
-        &items,
-    unsigned numThreads)
-{
-    numThreads = resolveThreads(numThreads, items.size());
-
-    // Results go to preassigned slots; scheduling order never leaks
-    // into the report.
-    std::vector<solver::SolveStats> workerStats(numThreads);
-    runSharded(items.size(), numThreads, [&](size_t i, unsigned w) {
-        ir::Function *func = items[i].first;
-        FunctionReport fr;
-        fr.function = func;
+    const unsigned threads = resolveThreads(numThreads, slots.size());
+    std::vector<solver::SolveStats> workerStats(threads);
+    runSharded(slots.size(), threads, [&](size_t i, unsigned w) {
+        FunctionReport &fr = *slots[i];
+        ir::Function *func = fr.function;
         // Cross-request cache consults are the only shared state on
         // the worker path; the MatchCache is internally mutex-guarded
         // and replays never touch analyses at all.
         if (opts_.cache) {
             fr.contentHash = func->contentHash();
-            if (tryReplay(func, &fr)) {
-                *items[i].second = std::move(fr);
+            if (tryReplay(func, &fr))
                 return;
-            }
         }
-        // Worker-owned analyses (each function is exactly one shard):
-        // no sharing with other workers or with the driver's serial
-        // cache_, hence no locks on the matching hot path.
+        // Shard-owned analyses (each function is exactly one shard):
+        // no sharing between workers, hence no locks on the matching
+        // hot path.
         analysis::FunctionAnalyses fa(func);
         idioms::IdiomDetector detector(opts_.limits);
         fr.matches = detector.detect(func, fa);
@@ -256,114 +182,35 @@ MatchingDriver::matchShards(
         workerStats[w] += fr.stats;
         if (opts_.cache)
             storeSolveResult(func, fr);
-        *items[i].second = std::move(fr);
     });
-
     // Contention-free stats: each worker accumulated privately; the
     // merge happens once, after the join.
-    solver::SolveStats merged;
     for (const auto &s : workerStats)
-        merged += s;
-    return merged;
-}
+        totals_ += s;
 
-MatchReport
-MatchingDriver::runParallel(ir::Module &module, unsigned numThreads)
-{
-    std::vector<ir::Module *> modules{&module};
-    return std::move(runParallelBatch(modules, numThreads).front());
-}
-
-std::vector<MatchReport>
-MatchingDriver::runParallelBatch(
-    const std::vector<ir::Module *> &modules, unsigned numThreads)
-{
-    std::vector<MatchReport> reports(modules.size());
-
-    // Preassign report slots in module order so the result layout is
-    // deterministic before any worker runs.
-    for (size_t m = 0; m < modules.size(); ++m) {
-        for (const auto &f : modules[m]->functions()) {
-            if (f->isDeclaration())
-                continue;
-            FunctionReport fr;
-            fr.function = f.get();
-            reports[m].functions.push_back(std::move(fr));
-        }
-    }
-    std::vector<std::pair<ir::Function *, FunctionReport *>> items;
     for (auto &report : reports) {
-        for (auto &fr : report.functions)
-            items.emplace_back(fr.function, &fr);
-    }
-
-    accumulate(matchShards(items, numThreads));
-
-    for (size_t m = 0; m < modules.size(); ++m) {
-        for (const auto &fr : reports[m].functions) {
-            reports[m].totals += fr.stats;
-            reports[m].status =
-                solver::worseStatus(reports[m].status, fr.status);
-            if (opts_.cache) {
-                fr.fromCache ? ++reports[m].cacheHits
-                             : ++reports[m].cacheMisses;
-            }
+        for (const auto &fr : report.functions) {
+            report.totals += fr.stats;
+            report.status = solver::worseStatus(report.status, fr.status);
+            if (opts_.cache)
+                fr.fromCache ? ++report.cacheHits : ++report.cacheMisses;
         }
     }
     if (opts_.applyTransforms) {
-        // The transform stage shards over modules on the same pool
-        // (transformShards inside applyAllParallel): each module gets
-        // a private transactional engine, so results are identical to
-        // the serial stage and ordered by module.
-        std::vector<std::vector<idioms::IdiomMatch>> matches;
-        matches.reserve(modules.size());
-        for (const auto &report : reports)
-            matches.push_back(report.allMatches());
-        auto replacements =
-            applyAllParallel(modules, matches, numThreads);
-        for (size_t m = 0; m < modules.size(); ++m)
-            reports[m].replacements = std::move(replacements[m]);
-        // The transformation stage rewrites matched functions; any
-        // analyses the driver's serial cache holds are suspect now.
-        invalidateAll();
+        // Each module gets a private transactional engine, so modules
+        // transform concurrently with results identical to a serial
+        // stage.
+        const transform::BackendConfig config = backendConfig();
+        runSharded(modules.size(),
+                   resolveThreads(numThreads, modules.size()),
+                   [&](size_t m, unsigned) {
+                       transform::Transformer transformer(
+                           *modules[m], opts_.verify, config);
+                       reports[m].replacements = transformer.applyAll(
+                           reports[m].allMatches());
+                   });
     }
     return reports;
-}
-
-std::vector<std::vector<transform::Replacement>>
-MatchingDriver::applyAllParallel(
-    const std::vector<ir::Module *> &modules,
-    const std::vector<std::vector<idioms::IdiomMatch>> &matches,
-    unsigned numThreads)
-{
-    if (modules.size() != matches.size()) {
-        throw FatalError("applyAllParallel: modules and matches "
-                         "disagree in size");
-    }
-    std::vector<std::vector<transform::Replacement>> out(
-        modules.size());
-    unsigned threads = resolveThreads(numThreads, modules.size());
-    // Workload hook omitted (backendConfig(false)): the hook reads
-    // the driver's serial analysis cache, which workers must not
-    // touch. Cost-model selection on the parallel path prices the
-    // static trip-count estimate instead.
-    transform::BackendConfig config = backendConfig(false);
-    runSharded(modules.size(), threads, [&](size_t i, unsigned) {
-        transform::Transformer transformer(*modules[i], opts_.verify,
-                                           config);
-        out[i] = transformer.applyAll(matches[i]);
-    });
-    return out;
-}
-
-MatchReport
-MatchingDriver::compileAndMatchParallel(const std::string &source,
-                                        ir::Module &module,
-                                        unsigned numThreads)
-{
-    invalidateAll();
-    frontend::compileMiniCOrDie(source, module, opts_.verify);
-    return runParallel(module, numThreads);
 }
 
 namespace {
@@ -572,16 +419,7 @@ MatchingDriver::verifyTransform(
 }
 
 std::vector<TransformVerification>
-MatchingDriver::verifyTransforms() const
-{
-    std::vector<TransformVerification> out;
-    for (const auto &program : benchmarks::nasParboilSuite())
-        out.push_back(verifyTransform(program));
-    return out;
-}
-
-std::vector<TransformVerification>
-MatchingDriver::verifyTransformsParallel(unsigned numThreads) const
+MatchingDriver::verifyTransforms(unsigned numThreads) const
 {
     // Touch every magic-static cache (suite sources, parsed idiom
     // library, lowered/compiled programs) before workers spawn.
@@ -597,18 +435,20 @@ MatchingDriver::verifyTransformsParallel(unsigned numThreads) const
 std::vector<idioms::IdiomMatch>
 MatchingDriver::matchFunction(ir::Function *func)
 {
+    analysis::FunctionAnalyses fa(func);
     idioms::IdiomDetector detector(opts_.limits);
-    auto matches = detector.detect(func, analysesFor(func));
-    accumulate(detector.stats());
+    auto matches = detector.detect(func, fa);
+    totals_ += detector.stats();
     return matches;
 }
 
 std::vector<idioms::IdiomMatch>
 MatchingDriver::matchOne(ir::Function *func, const std::string &idiom)
 {
+    analysis::FunctionAnalyses fa(func);
     idioms::IdiomDetector detector(opts_.limits);
-    auto matches = detector.detectOne(func, idiom, analysesFor(func));
-    accumulate(detector.stats());
+    auto matches = detector.detectOne(func, idiom, fa);
+    totals_ += detector.stats();
     return matches;
 }
 
@@ -616,9 +456,9 @@ SolveOutcome
 MatchingDriver::solveProgram(ir::Function *func,
                              const solver::ConstraintProgram &program)
 {
-    analysis::FunctionAnalyses &fa = analysesFor(func);
+    analysis::FunctionAnalyses fa(func);
     // Build the lazy analyses up front so solveMillis measures the
-    // search alone, cold or warm cache alike.
+    // search alone.
     fa.domTree();
     fa.postDomTree();
     fa.cfg();
@@ -631,40 +471,8 @@ MatchingDriver::solveProgram(ir::Function *func,
     outcome.solveMillis =
         std::chrono::duration<double, std::milli>(dt).count();
     outcome.stats = solver.stats();
-    accumulate(outcome.stats);
+    totals_ += outcome.stats;
     return outcome;
-}
-
-analysis::FunctionAnalyses &
-MatchingDriver::analysesFor(ir::Function *func)
-{
-    if (func->parentModule() != module_) {
-        invalidateAll();
-        module_ = func->parentModule();
-    }
-    // Content-hash guard: a slot built for an earlier shape of this
-    // function (mutated in place, or rewritten by a pass that forgot
-    // to invalidate) must never serve stale dominators/loops/indices.
-    const uint64_t hash = func->contentHash();
-    auto &slot = cache_[func];
-    if (slot.analyses && slot.hash == hash)
-        return *slot.analyses;
-    slot.hash = hash;
-    slot.analyses = std::make_unique<analysis::FunctionAnalyses>(func);
-    return *slot.analyses;
-}
-
-void
-MatchingDriver::invalidate(ir::Function *func)
-{
-    cache_.erase(func);
-}
-
-void
-MatchingDriver::invalidateAll()
-{
-    cache_.clear();
-    module_ = nullptr;
 }
 
 void
@@ -712,12 +520,6 @@ MatchingDriver::storeSolveResult(ir::Function *func,
     opts_.cache->insert(CacheKey{fr.contentHash,
                                  idioms::idiomSetHash()},
                         std::move(entry));
-}
-
-void
-MatchingDriver::accumulate(const solver::SolveStats &delta)
-{
-    totals_ += delta;
 }
 
 } // namespace repro::driver

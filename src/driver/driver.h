@@ -7,21 +7,21 @@
  * idiom library's constraint solver over every function, and
  * optionally apply the idiom-to-API transformations. The
  * MatchingDriver packages that pipeline behind one entry point,
- * caching the per-function analyses (dominators, loops, CFG,
- * candidate indices) so a batch over N idioms builds them once per
- * function instead of once per (function, idiom) pair, and
- * aggregating SolveStats so callers get the paper's search-effort
- * numbers without threading counters through their own loops.
+ * building the per-function analyses (dominators, loops, CFG,
+ * candidate indices) once per function and sharing them across all
+ * idioms solved against it, and aggregating SolveStats so callers get
+ * the paper's search-effort numbers without threading counters
+ * through their own loops.
  *
  * Matching is embarrassingly parallel across functions: solving
  * writes nothing outside per-function state (analyses, candidate
  * indices including the function's own value ids, solver stats), all
- * of which is owned by a single worker. runParallel /
- * runParallelBatch exploit that with a work-stealing shard pool while
- * keeping results byte-identical to the serial driver. The guarantee
- * is scoped per function: run at most one matching pass over a given
- * module at a time (two concurrent runs would both build indices —
- * and write ids — for the same functions).
+ * of which is owned by a single worker. matchModules exploits that
+ * with a work-stealing shard pool whose results are byte-identical
+ * for every thread count; one thread is the serial pipeline. The
+ * guarantee is scoped per function: run at most one matching pass
+ * over a given module at a time (two concurrent runs would both
+ * build indices — and write ids — for the same functions).
  */
 #ifndef DRIVER_DRIVER_H
 #define DRIVER_DRIVER_H
@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/function_analyses.h"
 #include "benchmarks/suite.h"
 #include "driver/match_cache.h"
 #include "idioms/library.h"
@@ -56,7 +55,7 @@ struct DriverOptions
     /**
      * Cross-request match cache shared between drivers, service
      * sessions and worker threads (see driver/match_cache.h). When
-     * set, matchModule/runParallelBatch replay cached solve results
+     * set, matchModule/matchModules replay cached solve results
      * for any function whose contentHash is already stored instead of
      * re-solving it. Null (the default) preserves the pure batch
      * pipeline byte for byte.
@@ -77,9 +76,8 @@ struct DriverOptions
      * idiom class to its historical host target, keeping Table 1
      * counts and every byte-parity test unchanged; CostModel ranks
      * all legal (API, platform) lowerings by the cost model
-     * (runtime/cost.h) against the call site's workload descriptor
-     * (profiled via profileWorkloads, else the static trip-count
-     * estimate) and commits the cheapest.
+     * (runtime/cost.h) against the call site's static workload
+     * estimate (analysis/workload.h) and commits the cheapest.
      */
     transform::BackendPolicy backendPolicy =
         transform::BackendPolicy::Fixed;
@@ -196,33 +194,24 @@ struct SolveOutcome
 
 /**
  * The matching pipeline, usable one-shot or as a long-lived session
- * core. One driver instance owns a per-function analysis cache;
- * reusing the instance across calls reuses the analyses as long as
- * the underlying functions are not mutated. Entries are guarded by
- * the function's contentHash(): a mutated (or recompiled-in-place)
- * function is detected on the next analysesFor and its stale
- * dominators/loops/CandidateIndex are rebuilt instead of served.
- *
- * The analysis cache holds raw pointers into one module.
- * compileAndMatch starts every batch by dropping it, and analysesFor
- * drops it when handed a function of a different live module; but
- * when a module is destroyed and the driver then matches functions of
- * a NEW module via matchFunction/matchOne/solveProgram directly, call
- * invalidateAll() first — address recycling can defeat the
- * pointer-identity guard.
+ * core. A driver holds no IR: every call builds the analyses it needs
+ * for the functions it is handed and drops them before returning, so
+ * one driver may serve any number of modules, in any order, across
+ * their lifetimes. Its only state is the options, the accumulated
+ * solver effort and the optional cross-request match cache.
  *
  * With a MatchCache attached (DriverOptions::cache or attachCache),
- * matchModule / runParallel / runParallelBatch become incremental
- * across requests: each function's solve result is stored portably
- * under (contentHash, idiomSetHash), and any later function hashing
- * equal — the same function resubmitted, or the same body from
- * another client — replays the stored matches re-anchored onto its
- * own IR instead of re-solving. Replayed functions contribute their
- * original SolveStats to the report (keeping warm reports
- * byte-identical to cold ones) but not to totals(), which keeps
- * counting real solver effort only. matchFunction/matchOne/
- * solveProgram bypass the cache: their keys (single idiom, ad-hoc
- * program) live outside the full-idiom-set key space.
+ * matchModule / matchModules become incremental across requests: each
+ * function's solve result is stored portably under (contentHash,
+ * idiomSetHash), and any later function hashing equal — the same
+ * function resubmitted, or the same body from another client —
+ * replays the stored matches re-anchored onto its own IR instead of
+ * re-solving. Replayed functions contribute their original SolveStats
+ * to the report (keeping warm reports byte-identical to cold ones) but
+ * not to totals(), which keeps counting real solver effort only.
+ * matchFunction/matchOne/solveProgram bypass the cache: their keys
+ * (single idiom, ad-hoc program) live outside the full-idiom-set key
+ * space.
  */
 class MatchingDriver
 {
@@ -237,70 +226,41 @@ class MatchingDriver
     MatchReport compileAndMatch(const std::string &source,
                                 ir::Module &module);
 
-    /** Batch-match every defined function of an existing module. */
+    /** Batch-match every defined function of an existing module:
+     *  matchModules over @p module alone, on the calling thread. */
     MatchReport matchModule(ir::Module &module);
 
     /**
-     * Parallel matchModule: the module's defined functions become
-     * shards on a work-stealing queue drained by @p numThreads
-     * workers (0 = hardware concurrency, 1 = inline on the calling
-     * thread). Each worker owns its FunctionAnalyses cache and a
+     * Match every defined function of @p modules. The functions
+     * become shards on one work-stealing queue drained by
+     * @p numThreads workers (0 = hardware concurrency, 1 = inline on
+     * the calling thread); a shared queue is the right shape when
+     * every module has few functions (each of the paper's 21
+     * benchmark programs compiles to a single-function module). Each
+     * shard builds its own FunctionAnalyses and each worker keeps a
      * private SolveStats accumulator, merged at join, so the match
      * sets, the per-function stats and the aggregated totals are
-     * byte-identical to matchModule() and reported in module order
-     * regardless of scheduling. The optional transformation stage
-     * runs after the join through applyAllParallel (one rewrite
-     * engine per module on the same pool).
-     */
-    MatchReport runParallel(ir::Module &module,
-                            unsigned numThreads = 0);
-
-    /**
-     * Parallel matching across several modules through one shared
-     * work-stealing queue — the right shape when every module has few
-     * functions (each of the paper's 21 benchmark programs compiles
-     * to a single-function module). Reports are returned in
-     * @p modules order with the same determinism guarantees as
-     * runParallel.
+     * byte-identical for every thread count and reported in module
+     * order regardless of scheduling.
+     *
+     * With applyTransforms, a transform stage follows the join on the
+     * same pool: module @p i becomes one shard, and a fresh
+     * transactional Transformer applies that module's matches to it
+     * (plan → resolve overlaps → validate → commit; see
+     * transform/rewrite.h). Within one module the engine plans in
+     * match order, so the replacement lists do not depend on the
+     * thread count either. Reports are returned in @p modules order.
      */
     std::vector<MatchReport>
-    runParallelBatch(const std::vector<ir::Module *> &modules,
-                     unsigned numThreads = 0);
-
-    /**
-     * Full pipeline with parallel matching: serial compile (parse,
-     * codegen, mem2reg, LICM, DCE), then runParallel over the result.
-     * Throws FatalError on compilation failure.
-     */
-    MatchReport compileAndMatchParallel(const std::string &source,
-                                        ir::Module &module,
-                                        unsigned numThreads = 0);
-
-    /**
-     * Parallel transform stage: module @p i becomes one shard on the
-     * same work-stealing pool the parallel matcher uses, and a fresh
-     * transactional Transformer applies @p matches[i] to it
-     * (plan → resolve overlaps → validate → commit; see
-     * transform/rewrite.h). Modules are fully independent — planning
-     * and commit for different modules run concurrently — while
-     * within one module the engine plans in match order, so the
-     * replacement lists are byte-identical to the serial stage and
-     * returned in @p modules order regardless of scheduling.
-     * Throws FatalError when the two vectors disagree in size.
-     */
-    std::vector<std::vector<transform::Replacement>>
-    applyAllParallel(
-        const std::vector<ir::Module *> &modules,
-        const std::vector<std::vector<idioms::IdiomMatch>> &matches,
-        unsigned numThreads = 0);
+    matchModules(const std::vector<ir::Module *> &modules,
+                 unsigned numThreads = 1);
 
     /**
      * Differentially verify one benchmark program end to end
      * (match -> transform -> bind -> execute); see
      * TransformVerification for the exact contract. Self-contained:
-     * compiles private modules and drivers, never touches this
-     * instance's analysis cache (only opts_.limits is read), so it is
-     * safe to call concurrently from many workers.
+     * compiles private modules and drivers (only opts_ is read), so
+     * it is safe to call concurrently from many workers.
      */
     TransformVerification
     verifyTransform(const benchmarks::BenchmarkProgram &program) const;
@@ -319,18 +279,15 @@ class MatchingDriver
                     const std::function<void(ir::Module &)> &tamper)
         const;
 
-    /** verifyTransform over the whole NAS/Parboil suite, in order. */
-    std::vector<TransformVerification> verifyTransforms() const;
-
     /**
-     * Parallel verifyTransforms: the suite's programs become shards
-     * on the same work-stealing pool the parallel matcher uses
-     * (0 = hardware concurrency). Results are written to slots
-     * preassigned in suite order, so they are identical to the
-     * serial variant regardless of scheduling.
+     * verifyTransform over the whole NAS/Parboil suite. The programs
+     * become shards on the same work-stealing pool matchModules uses
+     * (0 = hardware concurrency); results are written to slots
+     * preassigned in suite order, so they do not depend on
+     * @p numThreads or on scheduling.
      */
     std::vector<TransformVerification>
-    verifyTransformsParallel(unsigned numThreads = 0) const;
+    verifyTransforms(unsigned numThreads = 1) const;
 
     /** Match one function, all top-level idioms, with subsumption. */
     std::vector<idioms::IdiomMatch> matchFunction(ir::Function *func);
@@ -340,45 +297,15 @@ class MatchingDriver
     matchOne(ir::Function *func, const std::string &idiom);
 
     /**
-     * Solve an already lowered constraint program against a function,
-     * reusing cached analyses. Used by ablations that perturb the
-     * program before solving.
+     * Solve an already lowered constraint program against a function.
+     * Used by ablations that perturb the program before solving.
      */
     SolveOutcome solveProgram(ir::Function *func,
                               const solver::ConstraintProgram &program);
 
-    /**
-     * Profile the module's dynamic workloads: execute @p program's
-     * entry once with instruction profiling on, estimate a
-     * WorkloadDescriptor for every natural loop from the observed
-     * counts (analysis/workload.h), and deposit the descriptors into
-     * this driver's cached analyses. A subsequent matchModule with
-     * BackendPolicy::CostModel prices backends against the profiled
-     * trip counts / bytes instead of the static fallback. The run
-     * mutates only a private Memory; the module itself is untouched.
-     */
-    void profileWorkloads(ir::Module &module,
-                          const benchmarks::BenchmarkProgram &program);
-
-    /**
-     * The cached analyses of @p func (built on first request). The
-     * cache is scoped to one module at a time: requesting a function
-     * of a different module drops all entries, since function
-     * addresses can be recycled across module lifetimes.
-     */
-    analysis::FunctionAnalyses &analysesFor(ir::Function *func);
-
-    /** Drop cached analyses after @p func is mutated. */
-    void invalidate(ir::Function *func);
-
-    /** Drop the entire analysis cache. */
-    void invalidateAll();
-
     /** Solver effort accumulated over the driver's lifetime. Cache
      *  replays do not count: this is real search work only. */
     const solver::SolveStats &totals() const { return totals_; }
-
-    const DriverOptions &options() const { return opts_; }
 
     /**
      * Replace the solver limits for subsequent solves. The service
@@ -395,15 +322,7 @@ class MatchingDriver
     /** Attach (or detach, with nullptr) the cross-request cache. */
     void attachCache(std::shared_ptr<MatchCache> cache);
 
-    /** The attached cross-request cache; may be null. */
-    const std::shared_ptr<MatchCache> &matchCache() const
-    {
-        return opts_.cache;
-    }
-
   private:
-    void accumulate(const solver::SolveStats &delta);
-
     /**
      * Replay @p func's cached solve result into @p fr if the attached
      * cache holds its (contentHash, idiomSetHash) key and the entry
@@ -419,38 +338,11 @@ class MatchingDriver
      */
     void storeSolveResult(ir::Function *func, const FunctionReport &fr);
 
-    /**
-     * Backend-selection inputs for a Transformer, derived from the
-     * options. With @p withWorkloads the config's workload hook reads
-     * this driver's serial analysis cache (profileWorkloads deposits)
-     * — serial transform stage only; the parallel stage passes false
-     * so workers never touch cache_.
-     */
-    transform::BackendConfig backendConfig(bool withWorkloads);
-
-    /**
-     * The parallel engine: drain (function, report slot) work items
-     * with @p numThreads workers and return the merged per-worker
-     * stats. Slot pointers must stay stable for the whole call.
-     */
-    solver::SolveStats
-    matchShards(const std::vector<std::pair<ir::Function *,
-                                            FunctionReport *>> &items,
-                unsigned numThreads);
-
-    /** One analysis-cache slot, guarded by the content hash it was
-     *  built for. */
-    struct AnalysesSlot
-    {
-        uint64_t hash = 0;
-        std::unique_ptr<analysis::FunctionAnalyses> analyses;
-    };
+    /** Backend-selection inputs for a Transformer, from the options. */
+    transform::BackendConfig backendConfig() const;
 
     DriverOptions opts_;
     solver::SolveStats totals_;
-    /** Module the cached analyses belong to. */
-    const ir::Module *module_ = nullptr;
-    std::map<ir::Function *, AnalysesSlot> cache_;
 };
 
 } // namespace repro::driver

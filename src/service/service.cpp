@@ -74,9 +74,6 @@ MatchService::submit(const std::string &moduleName,
     counters_.compileReused += compiled.reused.size();
     outcome.compileMillis = millisSince(t0);
 
-    // The driver's analysis cache points into the previously matched
-    // module; this request targets a new one.
-    driver_.invalidateAll();
     // The deadline clock starts when the solve starts, not when the
     // request was parsed: compile time is not solver effort. mutex_
     // serializes submissions, so setSolverLimits never races.
@@ -138,8 +135,8 @@ MatchService::submit(const std::string &moduleName,
 
     Session &session = sessions_[moduleName];
     session.keys = std::move(compiled.keys);
-    // Destroying the replaced module is safe: the driver cache was
-    // invalidated above and the new report holds no pointers into it.
+    // Destroying the replaced module is safe: the driver holds no IR
+    // and the new report holds no pointers into it.
     session.module = std::move(module);
     session.outcome = outcome;
     return outcome;
@@ -164,9 +161,6 @@ MatchService::drop(const std::string &moduleName)
     auto it = sessions_.find(moduleName);
     if (it == sessions_.end())
         return false;
-    // The driver's analysis cache may point into the dying module;
-    // never let a later submission's recycled addresses alias it.
-    driver_.invalidateAll();
     sessions_.erase(it);
     return true;
 }
@@ -175,7 +169,6 @@ void
 MatchService::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    driver_.invalidateAll();
     sessions_.clear();
     cache_->clear();
 }

@@ -729,14 +729,9 @@ analysis::WorkloadDescriptor
 RewriteEngine::workloadOf(const RewritePlan &plan)
 {
     const BasicBlock *header = plan.loop.header();
-    if (backends_.workloads) {
-        if (const analysis::WorkloadDescriptor *wd =
-                backends_.workloads(plan.function, header))
-            return *wd;
-    }
-    // Static fallback: constant-bound trip estimates over a locally
-    // built loop forest (planning already builds these per match, so
-    // the extra construction only happens under CostModel).
+    // Constant-bound trip estimates over a locally built loop forest
+    // (planning already builds these per match, so the extra
+    // construction only happens under CostModel).
     analysis::DomTree dom(plan.function, false);
     analysis::LoopInfo loops(plan.function, dom);
     const analysis::Loop *natural = loops.loopFor(header);
@@ -744,8 +739,7 @@ RewriteEngine::workloadOf(const RewritePlan &plan)
         natural = natural->parent;
     if (!natural)
         return analysis::WorkloadDescriptor();
-    return analysis::estimateWorkload(loops, natural,
-                                      analysis::InstCountFn());
+    return analysis::estimateWorkload(loops, natural);
 }
 
 std::vector<RewritePlan>

@@ -301,9 +301,8 @@ class RewriteEngine
      */
     std::vector<RewritePlan> expandTargets(RewritePlan plan);
 
-    /** The workload descriptor of @p plan's loop nest: the dynamic
-     *  profile via BackendConfig::workloads when deposited, else the
-     *  static trip-count estimate. */
+    /** The static trip-count workload estimate of @p plan's loop
+     *  nest. */
     analysis::WorkloadDescriptor workloadOf(const RewritePlan &plan);
 
     /** Same-match cheapest-alternative selection (see resolveOverlaps). */

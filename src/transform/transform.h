@@ -18,7 +18,6 @@
 #ifndef TRANSFORM_TRANSFORM_H
 #define TRANSFORM_TRANSFORM_H
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -61,15 +60,6 @@ struct BackendConfig
      * through the full pipeline.
      */
     std::map<std::string, runtime::BackendTarget> forced;
-
-    /**
-     * Dynamic per-loop workload lookup (function, nest header) →
-     * descriptor; null function or null result falls back to the
-     * engine's static trip-count estimate.
-     */
-    std::function<const analysis::WorkloadDescriptor *(
-        const ir::Function *, const ir::BasicBlock *)>
-        workloads;
 };
 
 /** Record of one applied replacement. */

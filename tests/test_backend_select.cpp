@@ -279,7 +279,7 @@ TEST(BackendExecution, CostModelSuiteSweepIsByteIdentical)
     driver::DriverOptions opts;
     opts.backendPolicy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
-    for (const auto &v : drv.verifyTransformsParallel()) {
+    for (const auto &v : drv.verifyTransforms(0)) {
         EXPECT_TRUE(v.ok()) << v.name << ": " << v.error;
     }
 }

@@ -57,7 +57,7 @@ sweepClass(idioms::IdiomClass cls)
         for (const auto &kind : kindsOf(cls))
             opts.forcedBackends[kind] = target;
         driver::MatchingDriver drv(opts);
-        for (const auto &v : drv.verifyTransformsParallel()) {
+        for (const auto &v : drv.verifyTransforms(0)) {
             EXPECT_TRUE(v.ok())
                 << v.name << " under "
                 << runtime::backendToken(target) << ": " << v.error;

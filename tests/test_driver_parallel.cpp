@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests of the parallel matching driver: runParallel / runParallelBatch
- * must produce match sets, per-function stats and aggregated totals
- * byte-identical to the serial driver, for any thread count, on the
- * example modules and on synthetic many-function modules; and the
- * 1-thread path must equal serial without spawning workers.
+ * Tests of the sharded matcher: MatchingDriver::matchModules must
+ * produce match sets, per-function stats and aggregated totals
+ * byte-identical to one-thread matching (matchModule), for any thread
+ * count, on the example modules and on synthetic many-function
+ * modules.
  */
 #include <gtest/gtest.h>
 
@@ -71,6 +71,15 @@ manyFunctionSource(int n)
     return src.str();
 }
 
+/** Compile @p source into @p module and match it on @p threads. */
+driver::MatchReport
+compileAndMatchOn(driver::MatchingDriver &drv, const std::string &source,
+                  ir::Module &module, unsigned threads)
+{
+    frontend::compileMiniCOrDie(source, module);
+    return std::move(drv.matchModules({&module}, threads).front());
+}
+
 } // namespace
 
 TEST(DriverParallel, MatchesSerialOnExampleModules)
@@ -85,24 +94,12 @@ TEST(DriverParallel, MatchesSerialOnExampleModules)
 
         driver::MatchingDriver parallelDrv;
         ir::Module parallelModule;
-        auto parallel = parallelDrv.compileAndMatchParallel(
-            b.source, parallelModule, 4);
+        auto parallel =
+            compileAndMatchOn(parallelDrv, b.source, parallelModule, 4);
 
         SCOPED_TRACE(name);
         expectSameReport(serial, parallel);
     }
-}
-
-TEST(DriverParallel, OneThreadEqualsSerial)
-{
-    const auto &b = benchmarks::benchmarkByName("sgemm");
-    ir::Module module;
-    frontend::compileMiniCOrDie(b.source, module);
-
-    driver::MatchingDriver drv;
-    auto serial = drv.matchModule(module);
-    auto oneThread = drv.runParallel(module, 1);
-    expectSameReport(serial, oneThread);
 }
 
 TEST(DriverParallel, ManyFunctionModuleAnyThreadCount)
@@ -119,8 +116,7 @@ TEST(DriverParallel, ManyFunctionModuleAnyThreadCount)
     for (unsigned threads : {1u, 2u, 3u, 8u}) {
         driver::MatchingDriver drv;
         ir::Module module;
-        auto parallel =
-            drv.compileAndMatchParallel(source, module, threads);
+        auto parallel = compileAndMatchOn(drv, source, module, threads);
         SCOPED_TRACE(threads);
         expectSameReport(serial, parallel);
         // The driver's lifetime totals see exactly this batch.
@@ -149,7 +145,7 @@ TEST(DriverParallel, BatchAcrossModulesMatchesSerial)
 
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
         driver::MatchingDriver drv;
-        auto parallel = drv.runParallelBatch(modulePtrs, threads);
+        auto parallel = drv.matchModules(modulePtrs, threads);
         ASSERT_EQ(parallel.size(), serial.size());
         for (size_t m = 0; m < serial.size(); ++m) {
             SCOPED_TRACE(programs[m]->name + " @ " +
@@ -170,7 +166,7 @@ TEST(DriverParallel, HardwareConcurrencyDefault)
 
     driver::MatchingDriver drv;
     ir::Module module;
-    auto parallel = drv.compileAndMatchParallel(source, module, 0);
+    auto parallel = compileAndMatchOn(drv, source, module, 0);
     expectSameReport(serial, parallel);
 }
 
@@ -181,11 +177,11 @@ TEST(DriverParallel, TransformsApplyAfterParallelMatch)
     opts.applyTransforms = true;
     driver::MatchingDriver drv(opts);
     ir::Module module;
-    auto report = drv.compileAndMatchParallel(b.source, module, 4);
+    auto report = compileAndMatchOn(drv, b.source, module, 4);
 
     EXPECT_FALSE(report.replacements.empty());
-    // The rewriting stage ran serially after the join and the module
-    // is still valid IR.
+    // The rewriting stage ran after the join and the module is still
+    // valid IR.
     EXPECT_TRUE(ir::verifyModule(module).empty());
 }
 
@@ -196,7 +192,7 @@ TEST(DriverParallel, SolverLimitsAreHonored)
     opts.limits.maxAssignments = 1;
     driver::MatchingDriver drv(opts);
     ir::Module module;
-    auto report = drv.compileAndMatchParallel(b.source, module, 4);
+    auto report = compileAndMatchOn(drv, b.source, module, 4);
     EXPECT_EQ(report.matchCount(), 0u);
 }
 
@@ -204,7 +200,7 @@ TEST(DriverParallel, EmptyModule)
 {
     driver::MatchingDriver drv;
     ir::Module module;
-    auto report = drv.runParallel(module, 4);
+    auto report = std::move(drv.matchModules({&module}, 4).front());
     EXPECT_EQ(report.matchCount(), 0u);
     EXPECT_TRUE(report.functions.empty());
     EXPECT_EQ(report.totals.assignments, 0u);

@@ -234,7 +234,7 @@ TEST(CompiledInterpDifferential, ParallelVerifyMatchesSerial)
 {
     driver::MatchingDriver drv;
     auto serial = drv.verifyTransforms();
-    auto parallel = drv.verifyTransformsParallel(4);
+    auto parallel = drv.verifyTransforms(4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (size_t i = 0; i < serial.size(); ++i) {
         EXPECT_EQ(serial[i].name, parallel[i].name);

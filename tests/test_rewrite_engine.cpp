@@ -390,9 +390,9 @@ TEST(RewriteEngine, RollbackKeepsSharedCalleeAliveForOtherFunctions)
               std::string::npos);
 }
 
-// The driver's sharded transform stage must produce byte-identical
-// modules and replacement metadata to the serial engine, in module
-// order, for any worker count.
+// The transform stage of MatchingDriver::matchModules must produce
+// byte-identical modules and replacement metadata to the serial
+// engine, in module order, for any worker count.
 TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
 {
     const std::vector<const char *> sources = {kSpmvSrc, kChainSrc,
@@ -414,28 +414,27 @@ TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
     for (unsigned threads : {1u, 4u}) {
         std::vector<std::unique_ptr<ir::Module>> modules;
         std::vector<ir::Module *> ptrs;
-        std::vector<std::vector<idioms::IdiomMatch>> matches;
         for (const char *src : sources) {
             modules.push_back(std::make_unique<ir::Module>());
             frontend::compileMiniCOrDie(src, *modules.back());
             ptrs.push_back(modules.back().get());
-            idioms::IdiomDetector det;
-            matches.push_back(det.detectModule(*modules.back()));
         }
-        driver::MatchingDriver drv;
-        auto reps = drv.applyAllParallel(ptrs, matches, threads);
-        ASSERT_EQ(reps.size(), sources.size());
+        driver::DriverOptions opts;
+        opts.applyTransforms = true;
+        driver::MatchingDriver drv(opts);
+        auto reports = drv.matchModules(ptrs, threads);
+        ASSERT_EQ(reports.size(), sources.size());
         for (size_t m = 0; m < sources.size(); ++m) {
+            const auto &reps = reports[m].replacements;
             EXPECT_EQ(ir::printModule(*modules[m]), serialPrinted[m])
                 << "module " << m << " threads " << threads;
-            ASSERT_EQ(reps[m].size(), serialReps[m].size());
-            for (size_t i = 0; i < reps[m].size(); ++i) {
-                EXPECT_EQ(reps[m][i].kind, serialReps[m][i].kind);
-                EXPECT_EQ(reps[m][i].calleeName,
+            ASSERT_EQ(reps.size(), serialReps[m].size());
+            for (size_t i = 0; i < reps.size(); ++i) {
+                EXPECT_EQ(reps[i].kind, serialReps[m][i].kind);
+                EXPECT_EQ(reps[i].calleeName,
                           serialReps[m][i].calleeName);
-                EXPECT_EQ(reps[m][i].numReads,
-                          serialReps[m][i].numReads);
-                EXPECT_EQ(reps[m][i].numInvariants,
+                EXPECT_EQ(reps[i].numReads, serialReps[m][i].numReads);
+                EXPECT_EQ(reps[i].numInvariants,
                           serialReps[m][i].numInvariants);
             }
         }

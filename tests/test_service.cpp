@@ -130,9 +130,7 @@ TEST(MatchFingerprint, DisambiguatesSameNamedFunctionsAcrossModules)
 
     driver::MatchingDriver drv;
     auto fa = fingerprints(drv.matchModule(a).allMatches());
-    drv.invalidateAll();
     auto fb = fingerprints(drv.matchModule(b).allMatches());
-    drv.invalidateAll();
     auto fc = fingerprints(drv.matchModule(c).allMatches());
 
     ASSERT_FALSE(fa.empty());
@@ -298,13 +296,12 @@ TEST(CachedDriver, ParallelBatchSharesTheCache)
 
     ir::Module cold;
     frontend::compileMiniCOrDie(clientSource(), cold);
-    auto coldReport = drv.runParallel(cold, 4);
+    auto coldReport = std::move(drv.matchModules({&cold}, 4).front());
     EXPECT_EQ(coldReport.cacheMisses, 3u);
 
     ir::Module warm;
     frontend::compileMiniCOrDie(clientSource(), warm);
-    drv.invalidateAll();
-    auto warmReport = drv.runParallel(warm, 4);
+    auto warmReport = std::move(drv.matchModules({&warm}, 4).front());
     EXPECT_EQ(warmReport.cacheHits, 3u);
     EXPECT_EQ(warmReport.cacheMisses, 0u);
     EXPECT_EQ(fingerprints(warmReport.allMatches()),
