@@ -31,8 +31,6 @@ class DomTree
   public:
     DomTree(Function *func, bool post_dom);
 
-    bool isPostDom() const { return postDom_; }
-
     /** Immediate dominator block; null for the root. */
     BasicBlock *idom(const BasicBlock *bb) const;
 

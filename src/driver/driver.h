@@ -209,9 +209,8 @@ struct SolveOutcome
  * re-solving. Replayed functions contribute their original SolveStats
  * to the report (keeping warm reports byte-identical to cold ones) but
  * not to totals(), which keeps counting real solver effort only.
- * matchFunction/matchOne/solveProgram bypass the cache: their keys
- * (single idiom, ad-hoc program) live outside the full-idiom-set key
- * space.
+ * solveProgram bypasses the cache: its key (an ad-hoc program) lives
+ * outside the full-idiom-set key space.
  */
 class MatchingDriver
 {
@@ -288,13 +287,6 @@ class MatchingDriver
      */
     std::vector<TransformVerification>
     verifyTransforms(unsigned numThreads = 1) const;
-
-    /** Match one function, all top-level idioms, with subsumption. */
-    std::vector<idioms::IdiomMatch> matchFunction(ir::Function *func);
-
-    /** Match one named idiom against one function (no subsumption). */
-    std::vector<idioms::IdiomMatch>
-    matchOne(ir::Function *func, const std::string &idiom);
 
     /**
      * Solve an already lowered constraint program against a function.

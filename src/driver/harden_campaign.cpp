@@ -10,11 +10,7 @@
  */
 #include "driver/harden_campaign.h"
 
-#include <atomic>
-#include <exception>
-#include <mutex>
-#include <thread>
-
+#include "driver/sharded.h"
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
 #include "support/diagnostics.h"
@@ -116,18 +112,6 @@ protectAttributeFor(const transform::HardenOptions &mode)
 
 } // namespace
 
-const char *
-faultOutcomeName(FaultOutcome outcome)
-{
-    switch (outcome) {
-      case FaultOutcome::Detected: return "detected";
-      case FaultOutcome::Masked: return "masked";
-      case FaultOutcome::Sdc: return "sdc";
-      case FaultOutcome::Crashed: return "crashed";
-    }
-    return "unknown";
-}
-
 HardenCampaignResult
 runHardenCampaign(const benchmarks::BenchmarkProgram &program,
                   const HardenCampaignOptions &opts)
@@ -217,46 +201,13 @@ runHardenCampaignSuite(const HardenCampaignOptions &opts,
 {
     const auto &suite = benchmarks::nasParboilSuite();
     std::vector<HardenCampaignResult> out(suite.size());
-    if (numThreads == 0)
-        numThreads = std::thread::hardware_concurrency();
-    if (numThreads == 0)
-        numThreads = 1;
-    if (static_cast<size_t>(numThreads) > suite.size())
-        numThreads = static_cast<unsigned>(suite.size());
-
     // Programs are independent shards writing preassigned slots, so
     // scheduling cannot reorder or interleave results: serial and
     // parallel sweeps are byte-identical (pinned by test_harden).
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-    auto worker = [&]() {
-        try {
-            for (size_t i = next.fetch_add(1);
-                 i < suite.size() && !failed.load();
-                 i = next.fetch_add(1)) {
-                out[i] = runHardenCampaign(suite[i], opts);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(errorMutex);
-            if (!firstError)
-                firstError = std::current_exception();
-            failed.store(true);
-        }
-    };
-    if (numThreads <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(numThreads);
-        for (unsigned w = 0; w < numThreads; ++w)
-            pool.emplace_back(worker);
-        for (auto &t : pool)
-            t.join();
-    }
-    if (firstError)
-        std::rethrow_exception(firstError);
+    runSharded(suite.size(), resolveThreads(numThreads, suite.size()),
+               [&](size_t i, unsigned) {
+                   out[i] = runHardenCampaign(suite[i], opts);
+               });
     return out;
 }
 

@@ -53,8 +53,6 @@ enum class FaultOutcome
     Crashed,
 };
 
-const char *faultOutcomeName(FaultOutcome outcome);
-
 /** One injected run: the plan and what happened. */
 struct FaultRun
 {

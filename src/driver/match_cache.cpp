@@ -111,13 +111,6 @@ MatchCache::counters() const
 }
 
 void
-MatchCache::resetCounters()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_ = CacheCounters{};
-}
-
-void
 MatchCache::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);

@@ -170,7 +170,6 @@ class MatchCache
     size_t size() const;
 
     CacheCounters counters() const;
-    void resetCounters();
 
     /** Drop every entry (counters survive; eviction count grows). */
     void clear();

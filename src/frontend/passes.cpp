@@ -124,13 +124,4 @@ aggressiveDCE(Function *func)
     return static_cast<int>(dead.size());
 }
 
-void
-cleanupModule(ir::Module &module)
-{
-    for (const auto &f : module.functions()) {
-        removeUnreachableBlocks(f.get());
-        aggressiveDCE(f.get());
-    }
-}
-
 } // namespace repro::frontend

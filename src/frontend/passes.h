@@ -25,9 +25,6 @@ int removeUnreachableBlocks(ir::Function *func);
  */
 int aggressiveDCE(ir::Function *func);
 
-/** Run both passes over every function. */
-void cleanupModule(ir::Module &module);
-
 } // namespace repro::frontend
 
 #endif // FRONTEND_PASSES_H

@@ -54,7 +54,6 @@ class Type
     }
     bool isPointer() const { return kind_ == Kind::Pointer; }
     bool isArray() const { return kind_ == Kind::Array; }
-    bool isFunction() const { return kind_ == Kind::Function; }
 
     /** Element type for pointers and arrays; null otherwise. */
     Type *element() const { return element_; }

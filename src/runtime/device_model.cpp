@@ -228,13 +228,6 @@ timeOn(const WorkProfile &work, Platform p, double base_eff,
 
 } // namespace
 
-double
-modelTimeMs(const WorkProfile &work, Api api, bool lazy_copy)
-{
-    Platform p = apiPlatform(api);
-    return timeOn(work, p, apiEfficiency(api, work.cls, p), lazy_copy);
-}
-
 bool
 apiAvailableOn(Platform p, Api api, IdiomClass cls)
 {

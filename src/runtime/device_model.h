@@ -102,13 +102,6 @@ const DeviceParams &deviceParams(Platform p);
 /** Efficiency of @p api for idiom class @p cls on platform @p p. */
 double apiEfficiency(Api api, idioms::IdiomClass cls, Platform p);
 
-/**
- * Modeled execution time in milliseconds for running @p work through
- * @p api. With @p lazy_copy, redundant per-invocation transfers are
- * elided when the profile allows it.
- */
-double modelTimeMs(const WorkProfile &work, Api api, bool lazy_copy);
-
 /** Modeled single-core sequential execution time (the baseline). */
 double sequentialTimeMs(const WorkProfile &work);
 

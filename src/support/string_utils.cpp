@@ -1,8 +1,6 @@
 #include "support/string_utils.h"
 
 #include <cctype>
-#include <cstdio>
-#include <sstream>
 
 namespace repro {
 
@@ -21,18 +19,6 @@ splitString(const std::string &s, char sep)
     }
     out.push_back(cur);
     return out;
-}
-
-std::string
-joinStrings(const std::vector<std::string> &parts, const std::string &sep)
-{
-    std::ostringstream os;
-    for (size_t i = 0; i < parts.size(); ++i) {
-        if (i)
-            os << sep;
-        os << parts[i];
-    }
-    return os.str();
 }
 
 bool
@@ -71,14 +57,6 @@ replaceAll(std::string s, const std::string &from, const std::string &to)
         pos += to.size();
     }
     return s;
-}
-
-std::string
-formatDouble(double v, int decimals)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-    return buf;
 }
 
 } // namespace repro

@@ -13,10 +13,6 @@ namespace repro {
 /** Split @p s on @p sep, keeping empty fields. */
 std::vector<std::string> splitString(const std::string &s, char sep);
 
-/** Join @p parts with @p sep between fields. */
-std::string joinStrings(const std::vector<std::string> &parts,
-                        const std::string &sep);
-
 /** True if @p s starts with @p prefix. */
 bool startsWith(const std::string &s, const std::string &prefix);
 
@@ -29,9 +25,6 @@ std::string trimString(const std::string &s);
 /** Replace every occurrence of @p from in @p s with @p to. */
 std::string replaceAll(std::string s, const std::string &from,
                        const std::string &to);
-
-/** Format a double with a fixed number of decimals. */
-std::string formatDouble(double v, int decimals);
 
 } // namespace repro
 

@@ -1,10 +1,8 @@
 #include "transform/binder.h"
 
-#include <algorithm>
-#include <set>
+#include <string>
 #include <vector>
 
-#include "runtime/sparse.h"
 #include "support/diagnostics.h"
 
 namespace repro::transform {
@@ -103,103 +101,12 @@ spmvInline(Memory &mem, const std::vector<RuntimeValue> &args)
 }
 
 void
-bindSpmv(Interpreter &interp)
-{
-    interp.registerNative(
-        "__hetero_spmv",
-        [](const std::vector<RuntimeValue> &args, Interpreter &it) {
-            spmvInline(it.memory(), args);
-            return RuntimeValue::makeVoid();
-        });
-}
-
-/**
- * The device-backend path of an spmv lowering (cuSPARSE / clSPARSE /
- * libSPMV targets): stage the CSR arrays out of interpreter memory
- * into host buffers — the stand-in for the host→device transfer the
- * cost model prices — run runtime::sparse::csrmv over the staged
- * copies, and write the result rows back. csrmv's accumulation order
- * is identical to the inline loop, so the heap bytes produced are
- * byte-for-byte the same; degenerate index sets (negative rows or
- * columns) fall back to the inline path rather than staging garbage.
- */
-void
-spmvStaged(Memory &mem, const std::vector<RuntimeValue> &args)
-{
-    int64_t row_begin = args[0].i;
-    int64_t row_end = args[1].i;
-    if (row_end <= row_begin)
-        return;
-    if (row_begin < 0) {
-        spmvInline(mem, args);
-        return;
-    }
-    uint64_t rowstr = addrOf(args[2]);
-    uint64_t colidx = addrOf(args[3]);
-    uint64_t a = addrOf(args[4]);
-    uint64_t z = addrOf(args[5]);
-    uint64_t r = addrOf(args[6]);
-
-    std::vector<int32_t> h_rowstr(
-        static_cast<size_t>(row_end) + 1);
-    for (int64_t j = 0; j <= row_end; ++j)
-        h_rowstr[static_cast<size_t>(j)] = mem.load<int32_t>(
-            rowstr + 4 * static_cast<uint64_t>(j));
-
-    int64_t kmax = 0;
-    for (int64_t j = row_begin; j < row_end; ++j) {
-        int32_t lo = h_rowstr[static_cast<size_t>(j)];
-        int32_t hi = h_rowstr[static_cast<size_t>(j) + 1];
-        if (lo < 0) {
-            spmvInline(mem, args);
-            return;
-        }
-        kmax = std::max<int64_t>(kmax, hi);
-    }
-
-    std::vector<int32_t> h_colidx(static_cast<size_t>(kmax));
-    std::vector<double> h_a(static_cast<size_t>(kmax));
-    int64_t colmax = -1;
-    for (int64_t k = 0; k < kmax; ++k) {
-        h_colidx[static_cast<size_t>(k)] = mem.load<int32_t>(
-            colidx + 4 * static_cast<uint64_t>(k));
-        h_a[static_cast<size_t>(k)] =
-            mem.load<double>(a + 8 * static_cast<uint64_t>(k));
-    }
-    for (int64_t j = row_begin; j < row_end; ++j) {
-        for (int32_t k = h_rowstr[static_cast<size_t>(j)];
-             k < h_rowstr[static_cast<size_t>(j) + 1]; ++k) {
-            int32_t col = h_colidx[static_cast<size_t>(k)];
-            if (col < 0) {
-                spmvInline(mem, args);
-                return;
-            }
-            colmax = std::max<int64_t>(colmax, col);
-        }
-    }
-
-    std::vector<double> h_z(static_cast<size_t>(colmax) + 1);
-    for (int64_t c = 0; c <= colmax; ++c)
-        h_z[static_cast<size_t>(c)] =
-            mem.load<double>(z + 8 * static_cast<uint64_t>(c));
-    std::vector<double> h_r(static_cast<size_t>(row_end), 0.0);
-
-    runtime::sparse::csrmv(row_begin, row_end, h_rowstr.data(),
-                           h_colidx.data(), h_a.data(), h_z.data(),
-                           h_r.data());
-
-    for (int64_t j = row_begin; j < row_end; ++j)
-        mem.store<double>(r + 8 * static_cast<uint64_t>(j),
-                          h_r[static_cast<size_t>(j)]);
-}
-
-void
-bindSpmvStaged(Interpreter &interp, const std::string &name)
+bindSpmv(Interpreter &interp, const std::string &name)
 {
     interp.registerNative(
         name,
         [](const std::vector<RuntimeValue> &args, Interpreter &it) {
-            spmvStaged(it.memory(), args);
+            spmvInline(it.memory(), args);
             return RuntimeValue::makeVoid();
         });
 }
@@ -240,141 +147,17 @@ gemmLoop(Memory &mem, const std::vector<RuntimeValue> &args)
 }
 
 void
-bindGemm(Interpreter &interp)
+bindGemm(Interpreter &interp, const std::string &name,
+         Type::Kind elemKind)
 {
+    auto loop = elemKind == Type::Kind::Float ? &gemmLoop<float>
+                                              : &gemmLoop<double>;
     interp.registerNative(
-        "__hetero_gemm_f32",
-        [](const std::vector<RuntimeValue> &args, Interpreter &it) {
-            gemmLoop<float>(it.memory(), args);
+        name, [loop](const std::vector<RuntimeValue> &args,
+                     Interpreter &it) {
+            loop(it.memory(), args);
             return RuntimeValue::makeVoid();
         });
-    interp.registerNative(
-        "__hetero_gemm_f64",
-        [](const std::vector<RuntimeValue> &args, Interpreter &it) {
-            gemmLoop<double>(it.memory(), args);
-            return RuntimeValue::makeVoid();
-        });
-}
-
-/**
- * Flat-index range of a strided 2-D access i*s_i + j*s_j over the
- * (half-open) iteration rectangle. Strides may be negative, so the
- * extremes sit at the rectangle's corners.
- */
-struct FlatRange
-{
-    int64_t lo = 0;
-    int64_t hi = 0; ///< inclusive
-};
-
-FlatRange
-flatRange(int64_t bi, int64_t ei, int64_t si, int64_t bj, int64_t ej,
-          int64_t sj)
-{
-    FlatRange fr;
-    bool first = true;
-    for (int64_t i : {bi, ei - 1}) {
-        for (int64_t j : {bj, ej - 1}) {
-            int64_t flat = i * si + j * sj;
-            if (first) {
-                fr.lo = fr.hi = flat;
-                first = false;
-            } else {
-                fr.lo = std::min(fr.lo, flat);
-                fr.hi = std::max(fr.hi, flat);
-            }
-        }
-    }
-    return fr;
-}
-
-/**
- * Device-backend gemm (cuBLAS / clBLAS / CLBlast / Lift targets):
- * stage the accessed extents of A, B and C into host buffers, run the
- * multiply over the staged copies with the exact accumulation order
- * of gemmLoop (so results are byte-identical), and write the C
- * extent back. Exotic shapes whose corner scan reaches a negative
- * flat index fall back to the in-place loop.
- */
-template <typename T>
-void
-gemmStaged(Memory &mem, const std::vector<RuntimeValue> &args)
-{
-    int64_t b0 = args[0].i, e0 = args[1].i;
-    int64_t b1 = args[2].i, e1 = args[3].i;
-    int64_t b2 = args[4].i, e2 = args[5].i;
-    if (e0 <= b0 || e1 <= b1)
-        return;
-    uint64_t c = addrOf(args[6]);
-    int64_t c0 = args[7].i, c1 = args[8].i;
-    uint64_t a = addrOf(args[9]);
-    int64_t a0 = args[10].i, a2 = args[11].i;
-    uint64_t b = addrOf(args[12]);
-    int64_t b1s = args[13].i, b2s = args[14].i;
-    T alpha = static_cast<T>(args[15].f);
-    T beta = static_cast<T>(args[16].f);
-    const uint64_t es = sizeof(T);
-
-    int64_t k_end = std::max(e2, b2 + 1);
-    FlatRange fa = flatRange(b0, e0, a0, b2, k_end, a2);
-    FlatRange fb = flatRange(b1, e1, b1s, b2, k_end, b2s);
-    FlatRange fc = flatRange(b0, e0, c0, b1, e1, c1);
-    if (fa.lo < 0 || fb.lo < 0 || fc.lo < 0) {
-        gemmLoop<T>(mem, args);
-        return;
-    }
-
-    auto stage = [&](uint64_t base, const FlatRange &fr) {
-        std::vector<T> h(static_cast<size_t>(fr.hi) + 1);
-        for (int64_t f = 0; f <= fr.hi; ++f)
-            h[static_cast<size_t>(f)] =
-                mem.load<T>(base + es * static_cast<uint64_t>(f));
-        return h;
-    };
-    std::vector<T> h_a = stage(a, fa);
-    std::vector<T> h_b = stage(b, fb);
-    std::vector<T> h_c = stage(c, fc);
-
-    for (int64_t i0 = b0; i0 < e0; ++i0) {
-        for (int64_t i1 = b1; i1 < e1; ++i1) {
-            T acc = 0;
-            for (int64_t k = b2; k < e2; ++k) {
-                T av = h_a[static_cast<size_t>(i0 * a0 + k * a2)];
-                T bv = h_b[static_cast<size_t>(i1 * b1s + k * b2s)];
-                acc += av * bv;
-            }
-            size_t ci = static_cast<size_t>(i0 * c0 + i1 * c1);
-            h_c[ci] = beta * h_c[ci] + alpha * acc;
-        }
-    }
-
-    for (int64_t i0 = b0; i0 < e0; ++i0)
-        for (int64_t i1 = b1; i1 < e1; ++i1) {
-            uint64_t flat = static_cast<uint64_t>(i0 * c0 + i1 * c1);
-            mem.store<T>(c + es * flat,
-                         h_c[static_cast<size_t>(flat)]);
-        }
-}
-
-void
-bindGemmStaged(Interpreter &interp, const std::string &name,
-               Type::Kind elemKind)
-{
-    if (elemKind == Type::Kind::Float) {
-        interp.registerNative(
-            name, [](const std::vector<RuntimeValue> &args,
-                     Interpreter &it) {
-                gemmStaged<float>(it.memory(), args);
-                return RuntimeValue::makeVoid();
-            });
-    } else {
-        interp.registerNative(
-            name, [](const std::vector<RuntimeValue> &args,
-                     Interpreter &it) {
-                gemmStaged<double>(it.memory(), args);
-                return RuntimeValue::makeVoid();
-            });
-    }
 }
 
 void
@@ -547,29 +330,15 @@ void
 bindReplacements(Interpreter &interp,
                  const std::vector<Replacement> &replacements)
 {
-    // spmv/gemm call sites share callee functions, so dispatch by the
-    // inserted callee NAME: the classic names get the historical
-    // in-place handlers, backend-suffixed names (cost-model lowerings,
-    // e.g. "__hetero_gemm_f64__cublas_gpu") get the staged handlers
-    // that model the host→device round trip. DSL-backed kinds always
-    // have unique per-site names.
-    std::set<std::string> bound;
+    // Every target of a library kind binds the same host handler:
+    // the backend only changes the entry-point name the rewritten IR
+    // calls (e.g. "__hetero_gemm_f64__cublas_gpu") and its modeled
+    // price. Call sites sharing a callee re-register the same handler.
     for (const Replacement &rep : replacements) {
-        if (rep.kind == "spmv" || rep.kind == "gemm") {
-            if (!bound.insert(rep.calleeName).second)
-                continue;
-            if (rep.calleeName == "__hetero_spmv") {
-                bindSpmv(interp);
-            } else if (rep.calleeName == "__hetero_gemm_f32" ||
-                       rep.calleeName == "__hetero_gemm_f64") {
-                bindGemm(interp);
-                bound.insert("__hetero_gemm_f32");
-                bound.insert("__hetero_gemm_f64");
-            } else if (rep.kind == "spmv") {
-                bindSpmvStaged(interp, rep.calleeName);
-            } else {
-                bindGemmStaged(interp, rep.calleeName, rep.elemKind);
-            }
+        if (rep.kind == "spmv") {
+            bindSpmv(interp, rep.calleeName);
+        } else if (rep.kind == "gemm") {
+            bindGemm(interp, rep.calleeName, rep.elemKind);
         } else if (rep.kind == "reduce") {
             bindReduce(interp, rep);
         } else if (rep.kind == "histogram") {

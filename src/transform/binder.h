@@ -19,8 +19,9 @@ namespace repro::transform {
  * @p replacements, so a transformed module stays executable:
  * DSL-backed idioms (reduce/histogram/stencil) call back into their
  * extracted IR kernel functions through the interpreter, while
- * library-backed ones (spmv/gemm) run directly over the heap via
- * runtime/sparse.h and runtime/blas.h. Call after
+ * library-backed ones (spmv/gemm) run one host loop over the heap
+ * whatever their target: every backend-suffixed entry point of a kind
+ * binds the same handler. Call after
  * transform::Transformer::applyAll and before Interpreter::run.
  */
 void bindReplacements(interp::Interpreter &interp,

@@ -770,12 +770,14 @@ RewriteEngine::expandTargets(RewritePlan plan)
         p.target = targets[i];
         p.record.target = targets[i];
         p.record.costModeled = modeled;
-        // Library-backed schemes dispatch by callee name, so a
-        // non-default backend gets its own shared declaration (e.g.
-        // __hetero_gemm_f64__cublas_gpu). DSL-backed schemes already
-        // have a unique per-site callee; the target rides along in
-        // the Replacement record only. The fixed target keeps the
-        // historical name, byte-for-byte.
+        // A library-backed callee names the API entry point the
+        // rewritten IR calls, so a non-default backend gets its own
+        // shared declaration (e.g. __hetero_gemm_f64__cublas_gpu);
+        // the binder gives every such name of a kind the same host
+        // handler. DSL-backed schemes already have a unique per-site
+        // callee; the target rides along in the Replacement record
+        // only. The fixed target keeps the historical name,
+        // byte-for-byte.
         if ((p.kind == "spmv" || p.kind == "gemm") &&
             !runtime::sameBackend(targets[i],
                                   runtime::fixedTarget(p.cls))) {

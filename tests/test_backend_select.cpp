@@ -9,8 +9,9 @@
  * CostModel policy flipping a large GEMM onto the dGPU with a
  * suffixed callee and a ranked alternative list, forced backends, the
  * cache-replay rule that selection always re-runs under the CURRENT
- * policy, differential execution of the staged backend handlers, and
- * the MATCH-line protocol keys.
+ * policy, differential execution of backend-suffixed entry points
+ * (which bind the same host handler as the classic names), and the
+ * MATCH-line protocol keys.
  */
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "runtime/cost.h"
 #include "service/protocol.h"
 #include "service/service.h"
+#include "support/string_utils.h"
 
 using namespace repro;
 
@@ -245,7 +247,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
     EXPECT_EQ(rep.calleeName, "__hetero_gemm_f32__cublas_gpu");
 }
 
-// ------------------------------------------- staged backend handlers
+// ----------------------------------------- backend handler execution
 
 TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 {
@@ -269,6 +271,47 @@ TEST(BackendExecution, ForcedDgpuSpmvIsByteIdentical)
     auto v = drv.verifyTransform(suiteProgram("spmv"));
     EXPECT_TRUE(v.ok()) << v.error;
     EXPECT_EQ(v.replacements, 1u);
+}
+
+TEST(BackendExecution, DoubleGemmEveryTargetIsByteIdentical)
+{
+    // The suite's only GEMM is single precision; run sgemm's kernel
+    // and setup in double so every f64 entry point — the classic
+    // __hetero_gemm_f64 and each backend-suffixed one — executes.
+    benchmarks::BenchmarkProgram dgemm = suiteProgram("sgemm");
+    dgemm.name = "dgemm";
+    dgemm.source = replaceAll(
+        replaceAll(dgemm.source, "float", "double"), "0.0f", "0.0");
+    dgemm.setup = [](interp::Memory &mem) {
+        const int m = 20, n = 18, k = 22;
+        auto I = interp::RuntimeValue::makeInt;
+        uint64_t A = mem.allocate(m * k * 8);
+        for (int i = 0; i < m * k; ++i)
+            mem.store<double>(A + 8 * i, 0.01 * (i % 97));
+        uint64_t B = mem.allocate(n * k * 8);
+        for (int i = 0; i < n * k; ++i)
+            mem.store<double>(B + 8 * i, 0.02 * (i % 83));
+        uint64_t C = mem.allocate(m * n * 8);
+        for (int i = 0; i < m * n; ++i)
+            mem.store<double>(C + 8 * i, 1.0);
+        benchmarks::Instance inst;
+        inst.args = {I(A), I(m), I(B), I(n), I(C), I(m),
+                     I(m), I(n), I(k),
+                     interp::RuntimeValue::makeFP(1.5),
+                     interp::RuntimeValue::makeFP(0.25)};
+        inst.watchDoubles = {{C, static_cast<size_t>(m * n)}};
+        return inst;
+    };
+    for (const auto &target :
+         runtime::legalTargets(idioms::IdiomClass::MatrixOp)) {
+        driver::DriverOptions opts;
+        opts.forcedBackends["gemm"] = target;
+        driver::MatchingDriver drv(opts);
+        auto v = drv.verifyTransform(dgemm);
+        EXPECT_TRUE(v.ok())
+            << runtime::backendToken(target) << ": " << v.error;
+        EXPECT_EQ(v.replacements, 1u) << runtime::backendToken(target);
+    }
 }
 
 TEST(BackendExecution, CostModelSuiteSweepIsByteIdentical)

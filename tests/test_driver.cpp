@@ -42,16 +42,16 @@ matchKeys(const std::vector<idioms::IdiomMatch> &matches)
 
 TEST(Driver, QuickstartFactorization)
 {
-    driver::MatchingDriver drv;
+    idioms::IdiomDetector detector;
     ir::Module module;
     frontend::compileMiniCOrDie(kQuickstartSource, module);
     ir::Function *func = module.functionByName("example");
 
-    auto matches = drv.matchOne(func, "FactorizationOpportunity");
+    auto matches = detector.detectOne(func, "FactorizationOpportunity");
     ASSERT_EQ(matches.size(), 1u);
     EXPECT_EQ(matches[0].solution.lookup("factor")->handle(), "%a");
-    EXPECT_GT(drv.totals().assignments, 0u);
-    EXPECT_GT(drv.totals().checks, 0u);
+    EXPECT_GT(detector.stats().assignments, 0u);
+    EXPECT_GT(detector.stats().checks, 0u);
 }
 
 TEST(Driver, BatchStatsPopulated)
@@ -191,11 +191,9 @@ TEST(Driver, ReusedAcrossModuleLifetimes)
         for (int round = 0; round < 10; ++round) {
             auto module = std::make_unique<ir::Module>();
             frontend::compileMiniCOrDie(b.source, *module);
-            ir::Function *entry = module->functionByName(b.entry);
-            ASSERT_NE(entry, nullptr);
             driver::MatchingDriver fresh;
-            EXPECT_EQ(matchKeys(reused.matchFunction(entry)),
-                      matchKeys(fresh.matchFunction(entry)))
+            EXPECT_EQ(matchKeys(reused.matchModule(*module).allMatches()),
+                      matchKeys(fresh.matchModule(*module).allMatches()))
                 << b.name << " round " << round;
         }
     }

@@ -3,68 +3,10 @@
 #include "frontend/licm.h"
 #include "frontend/compiler.h"
 #include "ir/printer.h"
-#include "runtime/blas.h"
 #include "runtime/device_model.h"
-#include "runtime/sparse.h"
 #include "benchmarks/suite.h"
 
 using namespace repro;
-
-TEST(Blas, GemmStridesExpressTranspose)
-{
-    // 2x2: C = A * B with A row-major and B accessed transposed.
-    double a[] = {1, 2, 3, 4};  // [[1,2],[3,4]] row major
-    double b[] = {5, 6, 7, 8};  // interpret columns as rows
-    double c[4] = {0, 0, 0, 0};
-    // C[i*2+j] = sum_k A[i*2+k] * B[j*2+k]  (B transposed)
-    runtime::blas::gemm(c, 2, 1, a, 2, 1, b, 2, 1, 2, 2, 2, 1.0, 0.0);
-    EXPECT_DOUBLE_EQ(c[0], 1 * 5 + 2 * 6);
-    EXPECT_DOUBLE_EQ(c[1], 1 * 7 + 2 * 8);
-    EXPECT_DOUBLE_EQ(c[2], 3 * 5 + 4 * 6);
-    EXPECT_DOUBLE_EQ(c[3], 3 * 7 + 4 * 8);
-}
-
-TEST(Blas, GemvDotAxpy)
-{
-    double a[] = {1, 2, 3, 4, 5, 6}; // 2x3
-    double x[] = {1, 1, 1};
-    double y[] = {10, 20};
-    runtime::blas::gemv(y, a, 3, x, 2, 3, 1.0, 0.5);
-    EXPECT_DOUBLE_EQ(y[0], 5 + 6);
-    EXPECT_DOUBLE_EQ(y[1], 10 + 15);
-    EXPECT_DOUBLE_EQ(runtime::blas::dot(a, a, 3), 1 + 4 + 9);
-    double z[] = {1, 1};
-    runtime::blas::axpy(z, y, 2.0, 2);
-    EXPECT_DOUBLE_EQ(z[0], 1 + 2 * y[0]);
-}
-
-TEST(Sparse, CsrmvMatchesDense)
-{
-    auto m = runtime::sparse::makeBandedMatrix(16, 2, 42);
-    std::vector<double> x(16), y(16), y_ref(16, 0.0);
-    for (int i = 0; i < 16; ++i)
-        x[i] = 0.25 * i;
-    runtime::sparse::csrmv(m, x.data(), y.data());
-    // Dense reference.
-    for (int64_t r = 0; r < m.rows; ++r) {
-        for (int32_t k = m.rowstr[r]; k < m.rowstr[r + 1]; ++k)
-            y_ref[r] += m.values[k] * x[m.colidx[k]];
-    }
-    for (int i = 0; i < 16; ++i)
-        EXPECT_DOUBLE_EQ(y[i], y_ref[i]);
-}
-
-TEST(Sparse, EllmvHandlesPadding)
-{
-    // 2 rows, up to 2 entries; -1 marks padding.
-    int32_t indices[] = {0, 1, 1, -1}; // column-major [maxnz][rows]
-    double data[] = {2.0, 3.0, 4.0, 0.0};
-    double x[] = {10.0, 100.0};
-    double y[2];
-    runtime::sparse::ellmv(2, 2, indices, data, x, y);
-    EXPECT_DOUBLE_EQ(y[0], 2.0 * 10.0 + 4.0 * 100.0);
-    EXPECT_DOUBLE_EQ(y[1], 3.0 * 100.0);
-}
 
 TEST(DeviceModel, LazyCopyNeverSlower)
 {

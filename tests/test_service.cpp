@@ -152,8 +152,8 @@ TEST(MatchCache, CaptureReanchorRoundTrip)
     ir::Function *fa = a.functionByName("reduce");
     ir::Function *fb = b.functionByName("reduce");
 
-    driver::MatchingDriver drv;
-    auto matches = drv.matchFunction(fa);
+    idioms::IdiomDetector detector;
+    auto matches = detector.detect(fa);
     ASSERT_FALSE(matches.empty());
 
     std::vector<driver::PortableMatch> portable;
