@@ -210,7 +210,9 @@ formatStats(const driver::CacheCounters &counters, size_t entries,
        << " insertions=" << counters.insertions
        << " sessions=" << sessions
        << " compile_reused=" << service.compileReused
-       << " invalid_ir=" << service.invalidIr;
+       << " invalid_ir=" << service.invalidIr
+       << " degraded_budget=" << service.degradedBudget
+       << " degraded_deadline=" << service.degradedDeadline;
     return os.str();
 }
 

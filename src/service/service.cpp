@@ -88,6 +88,10 @@ MatchService::submit(const std::string &moduleName,
 
     outcome.ok = true;
     outcome.degraded = solver::solveStatusToken(report.status);
+    if (report.status == solver::SolveStatus::BudgetExhausted)
+        ++counters_.degradedBudget;
+    else if (report.status == solver::SolveStatus::DeadlineExceeded)
+        ++counters_.degradedDeadline;
     outcome.functions = report.functions.size();
     outcome.matches = report.matchCount();
     outcome.cacheHits = report.cacheHits;

@@ -124,6 +124,9 @@ struct ServiceCounters
     uint64_t compileReused = 0;
     /** SUBMITs rejected by the final IR verifier ("invalid-ir"). */
     uint64_t invalidIr = 0;
+    /** SUBMITs answered degraded=budget / degraded=deadline. */
+    uint64_t degradedBudget = 0;
+    uint64_t degradedDeadline = 0;
 };
 
 /** The long-lived matching service. */

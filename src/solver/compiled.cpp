@@ -225,6 +225,28 @@ CompiledProgram::finalizeTables()
         for (uint32_t i = n.varsBegin; i < n.varsEnd; ++i)
             slotUseNodes_[fill[varSlots_[i]]++] = id;
     }
+
+    // Node-to-atomic And-reachability CSR. Node ids are preorder, so
+    // a node's And-reachable atomics are the concatenation of its
+    // children's, and every run comes out in node-id order.
+    std::vector<std::vector<uint32_t>> reach(nodes_.size());
+    for (uint32_t id = static_cast<uint32_t>(nodes_.size()); id-- > 0;) {
+        const CompiledNode &n = nodes_[id];
+        if (n.kind == Node::Kind::Atomic && !n.deferred) {
+            reach[id].push_back(id);
+        } else if (n.kind == Node::Kind::And) {
+            for (uint32_t c = n.childBegin; c < n.childEnd; ++c) {
+                const auto &kid = reach[childIds_[c]];
+                reach[id].insert(reach[id].end(), kid.begin(), kid.end());
+            }
+        }
+    }
+    andAtomicBegin_.assign(1, 0);
+    for (const auto &r : reach) {
+        andAtomicNodes_.insert(andAtomicNodes_.end(), r.begin(), r.end());
+        andAtomicBegin_.push_back(
+            static_cast<uint32_t>(andAtomicNodes_.size()));
+    }
 }
 
 CompiledProgram::CompiledProgram(const ConstraintProgram &program)

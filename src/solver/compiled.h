@@ -21,7 +21,11 @@
  *    list entries are pre-expanded into slot runs, so no
  *    `std::string::find`/`substr`/concatenation runs during search;
  *  - a slot-to-atomic use CSR backs the per-node unbound counters
- *    that replace readiness scans.
+ *    that replace readiness scans;
+ *  - a node-to-atomic CSR lists, per node, the non-deferred atomics
+ *    reachable through And edges only — the atomics a goal-ring entry
+ *    commits every path below it to evaluate, which drives forward
+ *    checking.
  *
  * A CompiledProgram is immutable after construction and holds no
  * per-search state, so one instance (cached per idiom next to
@@ -247,6 +251,24 @@ class CompiledProgram
         return slotUseNodes_.data() + slotUseBegin_[slot + 1];
     }
 
+    /**
+     * Non-deferred atomics reachable from node @p id through And edges
+     * only (the node itself when it is one), in node-id order. Or
+     * alternatives and collect bodies contribute nothing: a goal-ring
+     * entry commits every path below it to evaluating exactly these.
+     */
+    const uint32_t *
+    andAtomicsBegin(uint32_t id) const
+    {
+        return andAtomicNodes_.data() + andAtomicBegin_[id];
+    }
+
+    const uint32_t *
+    andAtomicsEnd(uint32_t id) const
+    {
+        return andAtomicNodes_.data() + andAtomicBegin_[id + 1];
+    }
+
     /** Largest collect bound in the program (wildcard-run length). */
     int maxCollect() const { return maxCollect_; }
 
@@ -268,6 +290,8 @@ class CompiledProgram
     std::vector<uint32_t> orderedSlots_;
     std::vector<uint32_t> slotUseBegin_;
     std::vector<uint32_t> slotUseNodes_;
+    std::vector<uint32_t> andAtomicBegin_;
+    std::vector<uint32_t> andAtomicNodes_;
     int maxCollect_ = 0;
 };
 

@@ -157,6 +157,11 @@ deadlineExpired(const SolverLimits &limits)
  *  - `unbound_` holds one per-atomic counter of unbound positional
  *    variables, maintained through the program's slot-use CSR, so
  *    readiness is an integer compare instead of a bindings scan;
+ *  - `pending_` counts, per atomic, the live ring entries it is
+ *    And-reachable from (CompiledProgram::andAtomicsBegin): Or
+ *    substitution adds the chosen alternative's atomics, consuming
+ *    an atomic or deferring it on rotation exhaustion drops it, and
+ *    And expansion leaves the counts as they are;
  *  - the goal list is a ring of node ids over `buf_` between `head_`
  *    and `tail_`: And splices its children in front (O(children)),
  *    Or substitutes in place (O(1)), rotation moves the head to the
@@ -169,9 +174,17 @@ deadlineExpired(const SolverLimits &limits)
  * exit (never with saved absolute indices), which keeps reallocation
  * of `buf_` transparent to the frames above.
  *
+ * Forward checking: binding a slot in tryCandidates() also evaluates
+ * every pending atomic, other than the goal being solved, that the
+ * binding left with no unbound slot, in node-id order. Such an atomic
+ * is evaluated on every path below with the same values, so a failure
+ * prunes the candidate's whole subtree without changing which
+ * solutions are emitted or their order.
+ *
  * Traversal order replicates the reference engine exactly: the same
- * goals are tried in the same order with the same candidate sets, so
- * SolveStats and the emitted solution sets are byte-identical.
+ * goals are tried in the same order with the same candidate sets and
+ * the same forward checks, so SolveStats and the emitted solution
+ * sets are byte-identical.
  */
 class CompiledSearch
 {
@@ -204,6 +217,8 @@ class CompiledSearch
         if (slots.empty())
             slots.assign(prog_.numSlots(), nullptr);
         initUnbound();
+        pending_.assign(prog_.numNodes(), 0);
+        markPending(root, 1);
         size_t universe = ctx_.index->universe().size();
         if (seen_.size() != universe) {
             seen_.assign(universe, 0);
@@ -279,6 +294,41 @@ class CompiledSearch
             }
             unbound_[id] = c;
         }
+    }
+
+    /** Add (@p delta = 1) or drop (-1) the pending atomics of ring
+     *  entry @p id. */
+    void
+    markPending(uint32_t id, int delta)
+    {
+        for (const uint32_t *n = prog_.andAtomicsBegin(id),
+                            *e = prog_.andAtomicsEnd(id);
+             n != e; ++n) {
+            pending_[*n] += static_cast<uint32_t>(delta);
+        }
+    }
+
+    /**
+     * Evaluate, in node-id order, every pending atomic other than
+     * @p gid that binding @p slot left with no unbound slot. False as
+     * soon as one fails: the subtree below holds no solution.
+     */
+    bool
+    forwardCheck(uint32_t gid, uint32_t slot)
+    {
+        uint32_t last = gid;
+        for (const uint32_t *n = prog_.slotUsesBegin(slot),
+                            *e = prog_.slotUsesEnd(slot);
+             n != e; ++n) {
+            if (*n == gid || *n == last || pending_[*n] == 0 ||
+                unbound_[*n] != 0)
+                continue;
+            last = *n;
+            ++stats_.checks;
+            if (!evalAtomic(prog_, prog_.node(*n), slots, ctx_))
+                return false;
+        }
+        return true;
     }
 
     /** Make room for @p need goal cells in front of head_. */
@@ -357,8 +407,11 @@ class CompiledSearch
           }
           case Node::Kind::Or: {
             for (uint32_t i = g.childBegin; i < g.childEnd; ++i) {
-                buf_[head_] = prog_.childIds()[i];
+                const uint32_t alt = prog_.childIds()[i];
+                buf_[head_] = alt;
+                markPending(alt, 1);
                 search(0);
+                markPending(alt, -1);
                 if (results_.size() >= limits_.maxSolutions)
                     break;
             }
@@ -392,12 +445,8 @@ class CompiledSearch
         // only enumerated when a generator is actually needed.
         if (unbound_[gid] == 0) {
             ++stats_.checks;
-            if (evalAtomic(prog_, g, slots, ctx_)) {
-                ++head_;
-                search(0);
-                --head_;
-                buf_[head_] = gid;
-            }
+            if (evalAtomic(prog_, g, slots, ctx_))
+                consume(gid);
             return;
         }
 
@@ -432,11 +481,21 @@ class CompiledSearch
             return;
         }
         deferred_.push_back(gid);
+        consume(gid);
+        deferred_.pop_back();
+    }
+
+    /** Search on past the non-deferred atomic @p gid at the head,
+     *  which stops being pending meanwhile. */
+    void
+    consume(uint32_t gid)
+    {
+        --pending_[gid];
         ++head_;
         search(0);
         --head_;
         buf_[head_] = gid;
-        deferred_.pop_back();
+        ++pending_[gid];
     }
 
     void
@@ -480,18 +539,14 @@ class CompiledSearch
             bind(slot, c);
             ++stats_.checks;
             bool unassigned_left = unbound_[gid] > 0;
-            bool ok = true;
-            if (!unassigned_left)
-                ok = evalAtomic(prog_, g, slots, ctx_);
-            if (ok) {
+            bool ok = unassigned_left ||
+                      evalAtomic(prog_, g, slots, ctx_);
+            if (ok && forwardCheck(gid, slot)) {
                 if (unassigned_left) {
                     // Still unbound variables: revisit this goal.
                     search(0);
                 } else {
-                    ++head_;
-                    search(0);
-                    --head_;
-                    buf_[head_] = gid;
+                    consume(gid);
                 }
             }
             unbind(slot);
@@ -569,6 +624,7 @@ class CompiledSearch
     size_t head_ = 0, tail_ = 0;
 
     std::vector<uint32_t> unbound_;  ///< per-node unbound-var counters
+    std::vector<uint32_t> pending_;  ///< per-atomic live ring entries
     std::vector<uint32_t> collects_; ///< collect node ids on the path
     std::vector<uint32_t> deferred_; ///< deferred atomic node ids
     std::vector<uint32_t> trail_;    ///< collect-bound slots to unwind
@@ -688,6 +744,7 @@ class ReferenceSearch
             status = SolveStatus::DeadlineExceeded;
             return;
         }
+        numberPreorder(root);
         std::vector<const Node *> goals{root};
         try {
             search(goals, 0, 0);
@@ -704,6 +761,65 @@ class ReferenceSearch
         if (++stats_.assignments > limits_.maxAssignments)
             throw SearchAborted{SolveStatus::BudgetExhausted};
         deadlineCheck(limits_, stats_.assignments);
+    }
+
+    /** Number @p n's subtree in preorder (CompiledProgram's node-id
+     *  order) for forward checks. */
+    void
+    numberPreorder(const Node *n)
+    {
+        preorder_.emplace(n, preorder_.size());
+        for (const auto &c : n->children)
+            numberPreorder(c.get());
+        if (n->collectBody)
+            numberPreorder(n->collectBody.get());
+    }
+
+    /** Append the non-deferred atomics reachable from @p n through And
+     *  edges only. */
+    static void
+    andAtomics(const Node *n, std::vector<const Node *> &out)
+    {
+        if (n->kind == Node::Kind::And) {
+            for (const auto &c : n->children)
+                andAtomics(c.get(), out);
+        } else if (n->kind == Node::Kind::Atomic && !isDeferredAtomic(*n)) {
+            out.push_back(n);
+        }
+    }
+
+    /**
+     * Forward checking the obvious way: the atomics still ahead of
+     * goals[idx] that name @p var and are now fully bound, evaluated
+     * in preorder. False as soon as one fails.
+     */
+    bool
+    forwardCheck(const std::vector<const Node *> &goals, size_t idx,
+                 const std::string &var)
+    {
+        std::vector<const Node *> pending;
+        for (size_t j = idx + 1; j < goals.size(); ++j)
+            andAtomics(goals[j], pending);
+        std::vector<const Node *> ready;
+        for (const Node *a : pending) {
+            bool names_var = false, bound = true;
+            for (const auto &name : a->vars) {
+                names_var = names_var || name == var;
+                bound = bound && bindings.count(name);
+            }
+            if (names_var && bound)
+                ready.push_back(a);
+        }
+        std::sort(ready.begin(), ready.end(),
+                  [&](const Node *a, const Node *b) {
+                      return preorder_.at(a) < preorder_.at(b);
+                  });
+        for (const Node *a : ready) {
+            ++stats_.checks;
+            if (!evalAtomic(*a, bindings, ctx_))
+                return false;
+        }
+        return true;
     }
 
     void
@@ -826,10 +942,8 @@ class ReferenceSearch
                     break;
                 }
             }
-            bool ok = true;
-            if (!unassigned_left)
-                ok = evalAtomic(*g, bindings, ctx_);
-            if (ok) {
+            bool ok = unassigned_left || evalAtomic(*g, bindings, ctx_);
+            if (ok && forwardCheck(goals, idx, var)) {
                 if (unassigned_left) {
                     // Still unbound variables: revisit this goal.
                     search(goals, idx, 0);
@@ -950,6 +1064,7 @@ class ReferenceSearch
     std::vector<const Node *> collects_;
     std::vector<const Node *> deferred_;
     std::set<std::string> emitted_;
+    std::map<const Node *, size_t> preorder_;
 };
 
 } // namespace

@@ -565,11 +565,13 @@ TEST(Protocol, StatsCountsReuseAndInvalidIr)
     const std::string transcript = out.str();
     // The new keys follow sessions=, which keeps its place.
     EXPECT_NE(transcript.find(" insertions=0 sessions=0 "
-                              "compile_reused=0 invalid_ir=0\n"),
+                              "compile_reused=0 invalid_ir=0 "
+                              "degraded_budget=0 degraded_deadline=0\n"),
               std::string::npos)
         << transcript;
     EXPECT_NE(transcript.find(" sessions=1 compile_reused=2 "
-                              "invalid_ir=0\n"),
+                              "invalid_ir=0 degraded_budget=0 "
+                              "degraded_deadline=0\n"),
               std::string::npos)
         << transcript;
 
@@ -594,9 +596,66 @@ TEST(Protocol, StatsCountsReuseAndInvalidIr)
     std::ostringstream statsOut;
     service::runRepl(svc, stats, statsOut);
     EXPECT_NE(statsOut.str().find(" sessions=1 compile_reused=2 "
-                                  "invalid_ir=1\n"),
+                                  "invalid_ir=1 degraded_budget=0 "
+                                  "degraded_deadline=0\n"),
               std::string::npos)
         << statsOut.str();
+}
+
+/** The reply to one STATS request against @p svc. */
+std::string
+statsReply(service::MatchService &svc)
+{
+    std::istringstream in("STATS\n");
+    std::ostringstream out;
+    service::runRepl(svc, in, out);
+    return out.str();
+}
+
+TEST(Protocol, StatsCountsBudgetDegradations)
+{
+    // With forward checking the costliest solve of clientSource()
+    // still needs over 30 assignments; a budget of 10 trips it on
+    // every SUBMIT, since degraded results are never cached.
+    service::ServiceOptions opts;
+    opts.limits.maxAssignments = 10;
+    service::MatchService svc(opts);
+    for (int i = 0; i < 2; ++i) {
+        service::SubmitOutcome out = svc.submit("starved", clientSource());
+        ASSERT_TRUE(out.ok) << out.error;
+        EXPECT_EQ(out.degraded, "budget");
+    }
+    EXPECT_EQ(svc.serviceCounters().degradedBudget, 2u);
+    EXPECT_EQ(svc.serviceCounters().degradedDeadline, 0u);
+    const std::string reply = statsReply(svc);
+    EXPECT_NE(reply.find(" invalid_ir=0 degraded_budget=2 "
+                         "degraded_deadline=0\n"),
+              std::string::npos)
+        << reply;
+}
+
+TEST(Protocol, StatsCountsDeadlineDegradations)
+{
+    // A default deadline already past when the solve starts degrades
+    // deterministically; a complete SUBMIT counts as neither.
+    service::ServiceOptions opts;
+    opts.limits.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    service::MatchService svc(opts);
+    service::SubmitOutcome late = svc.submit("late", clientSource());
+    ASSERT_TRUE(late.ok) << late.error;
+    EXPECT_EQ(late.degraded, "deadline");
+    service::SubmitOutcome done =
+        svc.submit("late", clientSource(), 60'000);
+    ASSERT_TRUE(done.ok) << done.error;
+    EXPECT_TRUE(done.degraded.empty());
+    EXPECT_EQ(svc.serviceCounters().degradedBudget, 0u);
+    EXPECT_EQ(svc.serviceCounters().degradedDeadline, 1u);
+    const std::string reply = statsReply(svc);
+    EXPECT_NE(reply.find(" invalid_ir=0 degraded_budget=0 "
+                         "degraded_deadline=1\n"),
+              std::string::npos)
+        << reply;
 }
 
 TEST(Protocol, OversizedCountedSubmitIsRejectedBeforeAllocation)

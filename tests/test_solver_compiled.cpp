@@ -2,8 +2,9 @@
  * @file
  * Golden cross-check of the slot-addressed solver (solver/compiled.h)
  * against the retained pre-compilation reference engine
- * (Solver::solveAllReference), plus unit tests for symbol interning
- * and collect-template expansion.
+ * (Solver::solveAllReference), plus unit tests for symbol interning,
+ * collect-template expansion and the forward-checking rule, and a
+ * golden table of the suite's solutions.
  *
  * The contract under test is strict: on every Table 1 suite program,
  * every cached idiom, and both ablation orderings, the compiled
@@ -11,11 +12,14 @@
  * order and identical SolveStats (assignments, checks, solutions,
  * rotations, dedupHits). This is what makes the compilation step a
  * pure performance transformation with a mechanical correctness
- * argument.
+ * argument. Both engines forward-check, so the same parity also holds
+ * for the pruning.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 
 #include "benchmarks/suite.h"
 #include "frontend/compiler.h"
@@ -201,6 +205,121 @@ TEST(CompiledSolverGolden, Table1SuiteAllIdioms)
     EXPECT_GT(total.solutions, 0u);
 }
 
+// ------------------------------------------ suite solution golden table
+
+/** The solutions of one (suite program, idiom) pair: their count and
+ *  the FNV-1a hash of "function: solution" lines in emission order
+ *  over the program's defined functions. */
+struct SolutionRow
+{
+    std::string program;
+    std::string idiom;
+    size_t solutions = 0;
+    uint64_t hash = 0;
+};
+
+uint64_t
+fnv1a64(const std::string &s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+std::string
+formatRow(const SolutionRow &r)
+{
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxull",
+                  static_cast<unsigned long long>(r.hash));
+    return "    {\"" + r.program + "\", \"" + r.idiom + "\", " +
+           std::to_string(r.solutions) + ", " + hex + "},\n";
+}
+
+// Generated from the compiled engine before forward checking existed;
+// pruning must leave every row as it is. A (program, idiom) pair that
+// is not listed yields no solution.
+const std::vector<SolutionRow> kSuiteSolutions = {
+    {"BT", "Reduction", 5, 0x8ca74b5d3e624f7cull},
+    {"CG", "SPMV", 2, 0xf51193d883264015ull},
+    {"CG", "Stencil1D", 1, 0xa708ce35b493a7faull},
+    {"CG", "Reduction", 3, 0xf0d4fceb94e58e94ull},
+    {"DC", "Reduction", 2, 0xec1195a5d3fef976ull},
+    {"EP", "Histogram", 2, 0x22171abdfafd1cb5ull},
+    {"EP", "Reduction", 1, 0x26ccfb955ef97551ull},
+    {"FT", "Stencil1D", 1, 0xe7c95cc4f0fa59f8ull},
+    {"FT", "Reduction", 3, 0x6d9e8082591ab3dfull},
+    {"IS", "Histogram", 2, 0x48bfd39db4cc6983ull},
+    {"IS", "Reduction", 1, 0x436d769c6adfb807ull},
+    {"LU", "Reduction", 9, 0x80a7f8fe0b65a841ull},
+    {"MG", "Stencil3D", 1, 0x3d3730f3b6592b24ull},
+    {"MG", "Reduction", 1, 0x843cd4025baf7255ull},
+    {"SP", "Reduction", 5, 0x5481ac92771cc263ull},
+    {"UA", "Reduction", 6, 0x6a8fbb1a80bb1d2aull},
+    {"bfs", "Stencil1D", 1, 0x7150ccdfa11b87ddull},
+    {"bfs", "Reduction", 1, 0x936c90f050868bc9ull},
+    {"cutcp", "Reduction", 1, 0xe8e88992e01ce028ull},
+    {"histo", "Histogram", 4, 0x7a92393f0711b073ull},
+    {"lbm", "Stencil3D", 3, 0x3e0ff817018b079full},
+    {"mri-g", "Reduction", 2, 0x0c3a1cbf8de5975full},
+    {"mri-q", "Reduction", 2, 0xd16a253d932eb84aull},
+    {"sad", "Reduction", 1, 0x27f170ce1cb9258aull},
+    {"sgemm", "GEMM", 1, 0x5812601b176f5a1eull},
+    {"spmv", "SPMV", 1, 0xdf7d6b293d9ed26dull},
+    {"stencil", "Stencil3D", 2, 0xca84f9c0d901143cull},
+    {"tpacf", "Histogram", 2, 0xfbd3e4ee56b7a436ull},
+    {"tpacf", "Reduction", 2, 0x182c21bc577fd2d3ull},
+};
+
+TEST(CompiledSolverGolden, SuiteSolutionsUnchanged)
+{
+    // Pruning may shrink the search but never change which solutions
+    // come out or their order: the first solution per anchor is the
+    // match the driver keeps. A mismatch prints the actual row.
+    std::map<std::pair<std::string, std::string>, const SolutionRow *>
+        golden;
+    for (const SolutionRow &r : kSuiteSolutions)
+        golden[{r.program, r.idiom}] = &r;
+    size_t listed = 0;
+    for (const auto &b : benchmarks::nasParboilSuite()) {
+        ir::Module module;
+        frontend::compileMiniCOrDie(b.source, module);
+        for (const auto &idiom : goldenIdioms()) {
+            const solver::CompiledProgram *prog =
+                idioms::compiledIdiomOrNull(idiom);
+            ASSERT_NE(prog, nullptr) << idiom;
+            SolutionRow got{b.name, idiom, 0, 0};
+            std::string lines;
+            for (const auto &f : module.functions()) {
+                if (f->isDeclaration())
+                    continue;
+                analysis::FunctionAnalyses fa(f.get());
+                solver::Solver s(f.get(), fa);
+                for (const auto &sol : s.solveAll(*prog)) {
+                    lines += f->name() + ": " + sol.str() + "\n";
+                    ++got.solutions;
+                }
+            }
+            got.hash = fnv1a64(lines);
+            auto it = golden.find({b.name, idiom});
+            listed += it != golden.end();
+            std::string want = it != golden.end()
+                                   ? formatRow(*it->second)
+                                   : "    (not listed: no solution)\n";
+            std::string actual = got.solutions || it != golden.end()
+                                     ? formatRow(got)
+                                     : want;
+            if (actual != want)
+                ADD_FAILURE() << "golden row:\n" << want
+                              << "actual row:\n" << actual;
+        }
+    }
+    EXPECT_EQ(listed, kSuiteSolutions.size());
+}
+
 TEST(CompiledSolverGolden, BudgetExhaustionParity)
 {
     // A blown assignment budget unwinds collect sub-searches
@@ -256,6 +375,81 @@ TEST(CompiledSolverGolden, DuplicateCandidatesCountAsDedupHits)
     EXPECT_GT(s.stats().dedupHits, 0u);
 }
 
+/** Lower the single-constraint IDL program @p text named @p name. */
+solver::ConstraintProgram
+lowerSnippet(const std::string &text, const std::string &name)
+{
+    idl::IdlProgram program;
+    DiagEngine diags;
+    idl::parseIdlInto(text, program, diags);
+    EXPECT_FALSE(diags.hasErrors()) << diags.dump();
+    return idl::lowerIdiom(program, name);
+}
+
+size_t
+countOpcode(const ir::Function &f, ir::Opcode op)
+{
+    size_t n = 0;
+    for (const auto &bb : f.blocks()) {
+        for (const auto &inst : bb->insts())
+            n += inst->opcode() == op;
+    }
+    return n;
+}
+
+TEST(ForwardCheck, CompletedCheckPrunesBeforeTheNextGenerator)
+{
+    // The flow check is last in the conjunction but complete once {a}
+    // and {b} are bound: it must reject each (a, b) pair before {c}
+    // is enumerated, so the search makes fewer assignments than the
+    // |add| x |mul| x |sub| triples of an unpruned one.
+    ir::Module module;
+    frontend::compileMiniCOrDie(
+        "int f(int a, int b) {\n"
+        "  int x = a + b; int y = a * b; int z = x * 3;\n"
+        "  int w = y + z; int u = w * a; int v = u - b;\n"
+        "  int q = v - x; return q + y;\n"
+        "}",
+        module);
+    auto lowered = lowerSnippet(
+        "Constraint Chain\n"
+        "( {a} is add instruction and {b} is mul instruction and\n"
+        "  {c} is sub instruction and {a} has data flow to {b} )\n"
+        "End",
+        "Chain");
+    solver::SolveStats stats = crossCheck(module, lowered, "Chain");
+
+    const ir::Function *f = module.functionByName("f");
+    ASSERT_NE(f, nullptr);
+    size_t triples = countOpcode(*f, ir::Opcode::Add) *
+                     countOpcode(*f, ir::Opcode::Mul) *
+                     countOpcode(*f, ir::Opcode::Sub);
+    EXPECT_LT(stats.assignments, triples);
+    // 3 adds + 3x3 (add, mul) pairs + 2 subs for each of the 2 flowing
+    // pairs; checks add the 9 forward checks and the 4 head checks.
+    EXPECT_EQ(stats.assignments, 16u);
+    EXPECT_EQ(stats.checks, 29u);
+    EXPECT_EQ(stats.solutions, 4u);
+}
+
+TEST(ForwardCheck, UnchosenOrAlternativeNeverPrunes)
+{
+    // Only one direction of the disjunction holds. Were the atomics of
+    // an alternative not yet chosen treated as pending, binding {y}
+    // would evaluate the false direction and prune the only solution.
+    ir::Module module;
+    frontend::compileMiniCOrDie(
+        "int f(int a) { int t = a * a; return t + 1; }", module);
+    auto lowered = lowerSnippet(
+        "Constraint Either\n"
+        "( {x} is add instruction and {y} is mul instruction and\n"
+        "  ( {x} has data flow to {y} or {y} has data flow to {x} ) )\n"
+        "End",
+        "Either");
+    solver::SolveStats stats = crossCheck(module, lowered, "Either");
+    EXPECT_EQ(stats.solutions, 1u);
+}
+
 namespace {
 
 void
@@ -278,36 +472,42 @@ TEST(CompiledSolverGolden, AblationOrderings)
     // The ordering ablation (bench_ablation_ordering) perturbs the
     // lowered tree before solving; the compiled engine must track the
     // reference on the hostile ordering too — including the rotation
-    // counts the reversal provokes.
+    // counts the reversal provokes. The entry function's assignment
+    // counts are the bench's deterministic columns, pinned here.
     struct Case
     {
         const char *bench;
         const char *idiom;
+        uint64_t ordered, reversed;
     };
     solver::SolveStats reversedTotal;
-    for (const Case &c : {Case{"CG", "SPMV"}, Case{"sgemm", "GEMM"},
-                          Case{"MG", "Stencil3D"},
-                          Case{"LU", "Reduction"}}) {
+    for (const Case &c : {Case{"CG", "SPMV", 2850, 58758},
+                          Case{"sgemm", "GEMM", 251, 29790},
+                          Case{"MG", "Stencil3D", 395, 83161},
+                          Case{"LU", "Reduction", 1398, 17878}}) {
         const auto &b = benchmarks::benchmarkByName(c.bench);
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
+        const std::string what = std::string(c.bench) + "/" + c.idiom;
 
         auto ordered = idl::lowerIdiom(idioms::idiomLibrary(), c.idiom);
-        crossCheck(module, ordered,
-                   std::string(c.bench) + "/" + c.idiom + "/ordered");
+        crossCheck(module, ordered, what + "/ordered");
 
         auto reversed =
             idl::lowerIdiom(idioms::idiomLibrary(), c.idiom);
         reverseConjunctions(*reversed.root);
-        crossCheck(module, reversed,
-                   std::string(c.bench) + "/" + c.idiom + "/reversed");
+        crossCheck(module, reversed, what + "/reversed");
 
         ir::Function *func = module.functionByName(b.entry);
         ASSERT_NE(func, nullptr);
         analysis::FunctionAnalyses fa(func);
-        solver::Solver s(func, fa);
-        s.solveAll(reversed);
-        reversedTotal += s.stats();
+        solver::Solver o(func, fa);
+        o.solveAll(ordered);
+        EXPECT_EQ(o.stats().assignments, c.ordered) << what;
+        solver::Solver r(func, fa);
+        r.solveAll(reversed);
+        EXPECT_EQ(r.stats().assignments, c.reversed) << what;
+        reversedTotal += r.stats();
     }
     // Reversal destroys the generate-before-check ordering, so the
     // goal-rotation fallback must actually fire.
