@@ -143,15 +143,11 @@ struct FunctionDecl
     StmtPtr body; ///< null for declarations
     SourceLoc loc;
 
-    /** `__protect` / `__protect(eddi|cfcss)` reliability annotation. */
-    bool protect = false;
-    std::string protectMode; ///< "", "eddi" or "cfcss"
-
     /**
      * Hash of the definition's tokens (kinds and texts, not their
-     * positions), annotation and signature included; 0 for
-     * declarations. Half of the key a recompile reuses this
-     * function's previous IR under (compiler.h).
+     * positions), signature included; 0 for declarations. Half of
+     * the key a recompile reuses this function's previous IR under
+     * (compiler.h).
      */
     uint64_t definitionHash = 0;
 };
@@ -172,9 +168,9 @@ struct TranslationUnit
 
     /**
      * Hash of every top-level token outside function bodies, in
-     * order: each global and each function signature, `__protect`
-     * annotations included. This is everything a function body's
-     * code generation can see besides the body itself.
+     * order: each global and each function signature. This is
+     * everything a function body's code generation can see besides
+     * the body itself.
      */
     uint64_t declarationsHash = 0;
 };

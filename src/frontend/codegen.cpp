@@ -53,12 +53,6 @@ class CodeGen
                     f->name, irTypeOf(f->returnType, true), params);
                 for (size_t i = 0; i < f->params.size(); ++i)
                     func->arg(i)->setName(f->params[i].name);
-                if (f->protect) {
-                    func->addAttribute(
-                        f->protectMode.empty()
-                            ? "protect"
-                            : "protect:" + f->protectMode);
-                }
             }
             for (const auto &f : unit_.functions) {
                 if (f->body)

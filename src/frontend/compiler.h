@@ -25,7 +25,7 @@ namespace repro::frontend {
  */
 struct ReuseKeys
 {
-    /** Every global and function signature, `__protect` included. */
+    /** Every global and function signature. */
     uint64_t declarations = 0;
     /** Per function defined exactly once: its definition's tokens. */
     std::map<std::string, uint64_t> definitions;

@@ -9,7 +9,6 @@ namespace {
 constexpr std::string_view kKeywords[] = {
     "int", "long", "float", "double", "void", "for", "while", "do",
     "if", "else", "return", "break", "continue", "const",
-    "__protect",
 };
 
 bool

@@ -207,36 +207,10 @@ class Parser
     void
     parseTopLevel(TranslationUnit &unit)
     {
-        // Optional reliability annotation: `__protect` or
-        // `__protect(eddi)` / `__protect(cfcss)` before the return
-        // type marks the following function definition for hardening.
-        bool protect = false;
-        std::string protect_mode;
-        if (accept(TokKind::Keyword, "__protect")) {
-            protect = true;
-            if (acceptPunct("(")) {
-                Token mode = next();
-                if (!mode.is(TokKind::Identifier) ||
-                    (mode.text != "eddi" && mode.text != "cfcss")) {
-                    diags_.error(mode.loc,
-                                 "__protect mode must be 'eddi' or "
-                                 "'cfcss', got '" +
-                                     mode.text + "'");
-                    throw FatalError("MiniC parse error");
-                }
-                protect_mode = mode.text;
-                expectPunct(")");
-            }
-        }
         TypeSpec type = parseTypePrefix();
         Token name = next();
         if (!name.is(TokKind::Identifier)) {
             diags_.error(name.loc, "expected identifier at top level");
-            throw FatalError("MiniC parse error");
-        }
-        if (protect && !peek().isPunct("(")) {
-            diags_.error(name.loc,
-                         "__protect only applies to functions");
             throw FatalError("MiniC parse error");
         }
         if (peek().isPunct("(")) {
@@ -244,8 +218,6 @@ class Parser
             func->returnType = type;
             func->name = name.text;
             func->loc = name.loc;
-            func->protect = protect;
-            func->protectMode = protect_mode;
             expectPunct("(");
             if (!acceptPunct(")")) {
                 do {

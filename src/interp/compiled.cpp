@@ -52,7 +52,6 @@ CompiledFunction::compile(const ir::Function &func)
     for (size_t i = 0; i < func.numArgs(); ++i) {
         uint32_t slot = slotOf(func.arg(i));
         reproAssert(slot == i, "compiled interp: argument slot layout");
-        faultKinds_.push_back(func.arg(i)->type()->kind());
     }
 
     // Pass 1: dense profile indices for every instruction (phis
@@ -65,14 +64,8 @@ CompiledFunction::compile(const ir::Function &func)
             profIdx[inst.get()] =
                 static_cast<uint32_t>(profInsts_.size());
             profInsts_.push_back(inst.get());
-            if (!inst->type()->isVoid()) {
-                // Injectable slots form the contiguous prefix
-                // [0, faultSlotCount()): constants and globals only
-                // get slots later, during emission.
-                uint32_t slot = slotOf(inst.get());
-                if (slot == faultKinds_.size())
-                    faultKinds_.push_back(inst->type()->kind());
-            }
+            if (!inst->type()->isVoid())
+                slotOf(inst.get());
         }
     }
 
@@ -321,10 +314,6 @@ CompiledExec::run(Interpreter &it, ir::Function *func,
     if (depth > 64)
         throw FatalError("interpreter: call depth exceeded");
     if (func->isDeclaration()) {
-        if (func->name() == kHardenTrapFunction) {
-            throw FaultDetected(
-                "hardening check tripped in a protected function");
-        }
         auto nat = it.natives_.find(func->name());
         if (nat == it.natives_.end()) {
             throw FatalError("interpreter: no native handler for @" +
@@ -353,8 +342,6 @@ CompiledExec::run(Interpreter &it, ir::Function *func,
     const uint32_t *extra = cf.extra().data();
     const uint64_t *scales = cf.scales().data();
     std::vector<RuntimeValue> moveScratch;
-    const bool faultHere =
-        it.fault_ && func->name() == it.fault_->function;
 
     // Applies the phi moves of one CFG edge: every member phi is
     // charged one dynamic instruction (matching the reference
@@ -369,12 +356,6 @@ CompiledExec::run(Interpreter &it, ir::Function *func,
                 "interpreter: phi without incoming for pred");
         }
         for (uint32_t k = 0; k < g.count; ++k) {
-            // Phi boundaries charge the fault counter but never fire
-            // (the reference engine fires only before non-phi
-            // instructions; BcInsts exclude phis, so the engines'
-            // fireable boundary sets coincide).
-            if (faultHere)
-                ++it.faultCounter_;
             if (++steps > limit)
                 throw FatalError("interpreter: step limit exceeded");
             if (prof) {
@@ -397,20 +378,6 @@ CompiledExec::run(Interpreter &it, ir::Function *func,
     uint32_t pc = cf.entryPc();
     while (true) {
         const BcInst &bc = code[pc];
-        if (faultHere) {
-            // Mirrors the reference engine: fire before executing a
-            // non-phi instruction (every BcInst is one), then charge.
-            if (!it.faultFired_ && it.faultCounter_ >= it.fault_->step) {
-                it.faultFired_ = true;
-                if (cf.faultSlotCount() != 0) {
-                    uint32_t j =
-                        it.fault_->valueIndex % cf.faultSlotCount();
-                    flipFaultBits(cf.faultKind(j), slots[j],
-                                  it.fault_->bit);
-                }
-            }
-            ++it.faultCounter_;
-        }
         if (++steps > limit)
             throw FatalError("interpreter: step limit exceeded");
         if (prof) {

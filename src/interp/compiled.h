@@ -177,20 +177,6 @@ class CompiledFunction
         return profInsts_;
     }
 
-    /**
-     * Number of fault-injectable frame slots: the arguments and
-     * non-void instruction results, which pass 1 assigns the
-     * contiguous slot prefix [0, faultSlotCount()) in exactly
-     * faultValueList() order (constants and globals get later slots).
-     */
-    uint32_t faultSlotCount() const
-    {
-        return static_cast<uint32_t>(faultKinds_.size());
-    }
-
-    /** IR type kind of injectable slot @p i (for flipFaultBits). */
-    ir::Type::Kind faultKind(uint32_t i) const { return faultKinds_[i]; }
-
   private:
     uint32_t slotOf(const ir::Value *v);
     void compile(const ir::Function &func);
@@ -206,7 +192,6 @@ class CompiledFunction
     std::vector<ir::Function *> callees_;
     std::vector<std::string> trapMessages_;
     std::vector<const ir::Instruction *> profInsts_;
-    std::vector<ir::Type::Kind> faultKinds_;
     std::map<const ir::Value *, uint32_t> slots_;
     uint32_t entryPc_ = 0;
 };

@@ -29,73 +29,6 @@ Interpreter::registerNative(const std::string &name, NativeFn fn)
     natives_[name] = std::move(fn);
 }
 
-std::vector<const Value *>
-faultValueList(const ir::Function &func)
-{
-    std::vector<const Value *> out;
-    for (size_t i = 0; i < func.numArgs(); ++i)
-        out.push_back(func.arg(i));
-    for (const auto &bb : func.blocks()) {
-        for (const auto &inst : bb->insts()) {
-            if (!inst->type()->isVoid())
-                out.push_back(inst.get());
-        }
-    }
-    return out;
-}
-
-void
-flipFaultBits(Type::Kind kind, RuntimeValue &v, uint32_t bit)
-{
-    switch (kind) {
-      case Type::Kind::I1:
-        v.i ^= 1;
-        break;
-      case Type::Kind::I32:
-        // Both engines keep I32 lanes sign-extended in the full
-        // 64-bit i without re-truncating after arithmetic, so the
-        // flip targets the low 32 bits but must not truncate.
-        v.i = static_cast<int64_t>(static_cast<uint64_t>(v.i) ^
-                                   (1ull << (bit % 32)));
-        break;
-      case Type::Kind::I64:
-      case Type::Kind::Pointer:
-        v.i = static_cast<int64_t>(static_cast<uint64_t>(v.i) ^
-                                   (1ull << (bit % 64)));
-        break;
-      case Type::Kind::Float: {
-        // Float values are stored as already-rounded doubles; flip in
-        // the 32-bit representation and widen back, as a fault in a
-        // hardware float register would read.
-        float f = static_cast<float>(v.f);
-        uint32_t bits;
-        std::memcpy(&bits, &f, sizeof(bits));
-        bits ^= 1u << (bit % 32);
-        std::memcpy(&f, &bits, sizeof(bits));
-        v.f = static_cast<double>(f);
-        break;
-      }
-      case Type::Kind::Double: {
-        uint64_t bits;
-        std::memcpy(&bits, &v.f, sizeof(bits));
-        bits ^= 1ull << (bit % 64);
-        std::memcpy(&v.f, &bits, sizeof(bits));
-        break;
-      }
-      default:
-        break;
-    }
-    // A flip into a not-yet-defined slot gives it the kind its IR
-    // type implies; SSA dominance means such a slot is overwritten
-    // before any legal read, identically in both engines.
-    if (v.kind == RuntimeValue::Kind::Void) {
-        v.kind = (kind == Type::Kind::Float ||
-                  kind == Type::Kind::Double)
-                     ? RuntimeValue::Kind::FP
-                     : RuntimeValue::Kind::Int;
-    }
-}
-
 RuntimeValue
 Interpreter::evalConstant(const ir::Constant *c) const
 {
@@ -132,8 +65,6 @@ Interpreter::run(ir::Function *func,
 {
     engine_ = Engine::Compiled;
     steps_ = 0;
-    faultFired_ = false;
-    faultCounter_ = 0;
     materializeGlobals();
     // Flush even when execution throws (step limit, memory trap), so
     // partial profiles match what the reference engine accumulates.
@@ -155,8 +86,6 @@ Interpreter::runReference(ir::Function *func,
 {
     engine_ = Engine::Reference;
     steps_ = 0;
-    faultFired_ = false;
-    faultCounter_ = 0;
     materializeGlobals();
     return runFunction(func, args, 0);
 }
@@ -271,19 +200,6 @@ storeTyped(Memory &mem, Type *type, uint64_t addr, RuntimeValue v)
 
 } // namespace
 
-void
-Interpreter::injectFaultReference(
-    const ir::Function *func,
-    std::unordered_map<const Value *, RuntimeValue> &env)
-{
-    faultFired_ = true;
-    std::vector<const Value *> slots = faultValueList(*func);
-    if (slots.empty())
-        return;
-    const Value *target = slots[fault_->valueIndex % slots.size()];
-    flipFaultBits(target->type()->kind(), env[target], fault_->bit);
-}
-
 RuntimeValue
 Interpreter::runFunction(ir::Function *func,
                          const std::vector<RuntimeValue> &args, int depth)
@@ -291,10 +207,6 @@ Interpreter::runFunction(ir::Function *func,
     if (depth > 64)
         throw FatalError("interpreter: call depth exceeded");
     if (func->isDeclaration()) {
-        if (func->name() == kHardenTrapFunction) {
-            throw FaultDetected(
-                "hardening check tripped in a protected function");
-        }
         auto it = natives_.find(func->name());
         if (it == natives_.end()) {
             throw FatalError("interpreter: no native handler for @" +
@@ -328,21 +240,10 @@ Interpreter::runFunction(ir::Function *func,
     ir::BasicBlock *block = func->entry();
     ir::BasicBlock *prev = nullptr;
     size_t index = 0;
-    // Fault charges follow the step accounting of this frame exactly;
-    // the injection boundary is before a non-phi instruction, where
-    // the bytecode engine's cumulative charge provably agrees.
-    const bool faultHere = fault_ && func->name() == fault_->function;
 
     while (true) {
         Instruction *inst = block->insts()[index].get();
         ++index;
-        if (faultHere) {
-            if (!faultFired_ && !inst->is(Opcode::Phi) &&
-                faultCounter_ >= fault_->step) {
-                injectFaultReference(func, env);
-            }
-            ++faultCounter_;
-        }
         if (++steps_ > stepLimit_)
             throw FatalError("interpreter: step limit exceeded");
         if (profiling_) {
@@ -363,8 +264,6 @@ Interpreter::runFunction(ir::Function *func,
                    block->insts()[i]->is(Opcode::Phi)) {
                 Instruction *phi = block->insts()[i].get();
                 if (i != index - 1) {
-                    if (faultHere)
-                        ++faultCounter_;
                     if (++steps_ > stepLimit_) {
                         throw FatalError(
                             "interpreter: step limit exceeded");

@@ -28,11 +28,8 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <set>
-#include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "interp/memory.h"
@@ -40,47 +37,6 @@
 #include "ir/verifier.h"
 
 namespace repro::interp {
-
-/**
- * Name of the reliability-hardening trap function. Calls to a
- * declaration with this name throw FaultDetected in both engines,
- * before any native-handler lookup: hardened code (transform/harden)
- * branches to it when a duplicated computation or a control-flow
- * signature diverges.
- */
-inline constexpr const char *kHardenTrapFunction = "__harden_fault";
-
-/**
- * Raised when hardened code detects a fault at runtime. Deliberately
- * distinct from FatalError: the fault-injection campaign classifies
- * FaultDetected as "detected by the hardening checks" and FatalError
- * (out-of-bounds access, division by zero, step-limit watchdog) as
- * "crashed", a system-level detection the passes get no credit for.
- */
-class FaultDetected : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * A deterministic single-bit fault. The interpreter flips exactly one
- * bit in one value slot of one dynamic execution of @p function: at
- * the first instruction boundary (before executing a non-phi
- * instruction in a frame of the target function) where the fault
- * counter has reached @p step, bit @p bit of the runtime value of
- * faultValueList(func)[valueIndex % size] is inverted. The counter
- * advances exactly like the dynamic step counter restricted to the
- * target function's frames, so the same plan hits the same dynamic
- * site in the bytecode and the reference engine.
- */
-struct FaultPlan
-{
-    std::string function;
-    uint64_t step = 0;
-    uint32_t valueIndex = 0;
-    uint32_t bit = 0;
-};
 
 /** A dynamic value: integer (includes pointers) or floating point. */
 struct RuntimeValue
@@ -158,26 +114,6 @@ roundIfFloat(const ir::Type *type, double v)
 using NativeFn = std::function<RuntimeValue(
     const std::vector<RuntimeValue> &args, Interpreter &interp)>;
 
-/**
- * The fault-injectable value slots of a function: arguments first,
- * then every non-void instruction in block layout order — exactly the
- * frame-slot order the bytecode compiler assigns (compiled.cpp pass
- * 1), so FaultPlan::valueIndex selects the same value in both
- * engines. Constants and globals are excluded: they are immutable
- * module state, not per-run values.
- */
-std::vector<const ir::Value *> faultValueList(const ir::Function &func);
-
-/**
- * Flip bit @p bit of @p v as a value of IR type @p kind. Integer
- * kinds flip within their width (I1 always flips the truth bit; both
- * engines keep I32 values sign-extended in a 64-bit lane, so only
- * the low 32 bits are targeted, without re-truncation). Float flips
- * in the 32-bit representation and widens back; Double flips in the
- * 64-bit representation.
- */
-void flipFaultBits(ir::Type::Kind kind, RuntimeValue &v, uint32_t bit);
-
 /** Per-instruction dynamic execution counts. */
 struct Profile
 {
@@ -237,24 +173,6 @@ class Interpreter
     const Profile &profile() const { return profile_; }
     void clearProfile();
 
-    /**
-     * Arm a single-bit fault injection for subsequent runs. The fault
-     * counter and fired flag reset at every top-level run()/
-     * runReference(), so one armed plan replays the identical fault
-     * in either engine. A plan with step = UINT64_MAX never fires and
-     * turns the counter into a pure charge probe: run once, then read
-     * faultCounter() to learn how many injectable boundaries the
-     * target function executed.
-     */
-    void
-    armFault(const FaultPlan &plan)
-    {
-        fault_ = plan;
-        faultFired_ = false;
-        faultCounter_ = 0;
-    }
-    /** Dynamic charges counted in the target function's frames. */
-    uint64_t faultCounter() const { return faultCounter_; }
     /** Dynamic instructions executed by the last top-level run. */
     uint64_t stepsExecuted() const { return steps_; }
 
@@ -293,16 +211,6 @@ class Interpreter
     /** Merge the dense bytecode counters into profile_.counts. */
     void flushProfileBuffers();
 
-    /**
-     * Inject the armed fault into the reference engine's environment:
-     * resolves the plan's value slot against @p func and flips the
-     * chosen bit of its current (possibly still undefined) value.
-     */
-    void
-    injectFaultReference(
-        const ir::Function *func,
-        std::unordered_map<const ir::Value *, RuntimeValue> &env);
-
     ir::Module &module_;
     Memory &mem_;
     std::map<std::string, NativeFn> natives_;
@@ -313,9 +221,6 @@ class Interpreter
     Profile profile_;
     Engine engine_ = Engine::Compiled;
     ir::VerifyMode verify_ = ir::defaultVerifyMode();
-    std::optional<FaultPlan> fault_;
-    bool faultFired_ = false;
-    uint64_t faultCounter_ = 0;
     std::map<const ir::Function *, std::unique_ptr<CompiledFunction>>
         compiled_;
     std::map<const CompiledFunction *, std::vector<uint64_t>>

@@ -349,23 +349,6 @@ Function::uniqueName(const std::string &prefix)
     return prefix + std::to_string(nameCounter_++);
 }
 
-void
-Function::addAttribute(const std::string &attr)
-{
-    if (!hasAttribute(attr))
-        attributes_.push_back(attr);
-}
-
-bool
-Function::hasAttribute(const std::string &attr) const
-{
-    for (const auto &a : attributes_) {
-        if (a == attr)
-            return true;
-    }
-    return false;
-}
-
 Function *
 Module::createFunction(const std::string &name, Type *ret,
                        std::vector<Type *> params)

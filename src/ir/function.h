@@ -104,28 +104,11 @@ class Function : public Value
     /** Pick a fresh SSA name with the given prefix. */
     std::string uniqueName(const std::string &prefix);
 
-    // Attributes ---------------------------------------------------------
-    //
-    // Free-form string markers attached to a function, threaded from
-    // frontend annotations (`__protect` -> "protect") to the transform
-    // layer. Attributes are metadata about how a function should be
-    // *treated*, not part of its body: contentHash() deliberately
-    // ignores them, so the MatchCache keys stay attribute-independent.
-
-    /** Attach @p attr (duplicates are ignored; order is preserved). */
-    void addAttribute(const std::string &attr);
-    bool hasAttribute(const std::string &attr) const;
-    const std::vector<std::string> &attributes() const
-    {
-        return attributes_;
-    }
-
   private:
     Module *module_;
     Type *funcType_;
     std::vector<std::unique_ptr<Argument>> args_;
     std::vector<std::unique_ptr<BasicBlock>> blocks_;
-    std::vector<std::string> attributes_;
     int nameCounter_ = 0;
 };
 

@@ -137,14 +137,6 @@ struct Ownership
     }
 };
 
-/** Attribute spellings the pipeline attaches and consumes. */
-bool
-knownAttribute(const std::string &attr)
-{
-    return attr == "protect" || attr == "protect:eddi" ||
-           attr == "protect:cfcss";
-}
-
 /** Expected operand count per opcode; -1 means variadic. */
 int
 expectedOperands(Opcode op)
@@ -201,7 +193,6 @@ class FunctionVerifier
     {
         if (func_->isDeclaration())
             return;
-        checkAttributes();
         checkStructure();
         if (cfgSound_) {
             computeReachability();
@@ -237,17 +228,6 @@ class FunctionVerifier
                                  ? msg
                                  : msg + " in: " + printInstruction(inst);
         diag(rule, VerifySeverity::Error, bb, idx, detail);
-    }
-
-    void
-    checkAttributes()
-    {
-        for (const std::string &attr : func_->attributes()) {
-            if (!knownAttribute(attr)) {
-                diag("attr-unknown", VerifySeverity::Warning, nullptr,
-                     -1, "unknown function attribute '" + attr + "'");
-            }
-        }
     }
 
     bool

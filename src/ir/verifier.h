@@ -2,10 +2,10 @@
  * @file
  * Dominance-aware static verifier for the SSA IR.
  *
- * Five layers mutate or consume IR (frontend passes, the transactional
- * RewriteEngine, the EDDI/CFCSS harden pass, bytecode lowering, cache
- * replay re-anchoring); the verifier is the machine-checkable contract
- * between them. It checks, per function:
+ * Four layers mutate or consume IR (frontend passes, the transactional
+ * RewriteEngine, bytecode lowering, cache replay re-anchoring); the
+ * verifier is the machine-checkable contract between them. It checks,
+ * per function:
  *
  *  - structure: every block ends in exactly one terminator
  *    ("block-term"), phis are grouped at block starts ("phi-order")
@@ -27,9 +27,7 @@
  *  - call sites: the callee is a function of the same module
  *    ("call-callee"), argument count ("call-arity") and types
  *    ("call-arg-type") match the callee signature, and the call's
- *    result type equals the callee return type ("call-ret-type");
- *  - attributes: unknown function attributes are warned about
- *    ("attr-unknown").
+ *    result type equals the callee return type ("call-ret-type").
  *
  * Diagnostics are structured (rule id, function, block, instruction
  * index) so negative-oracle tests can pin exact rules and the service
@@ -52,8 +50,8 @@ namespace repro::ir {
  * behavior (only the frontend's final post-compile check). Boundaries
  * additionally gates every pass boundary: after MiniC codegen, after
  * mem2reg, after LICM/DCE, after every RewriteEngine commit and
- * rollback (hardening commits included), after the driver's transform
- * stage, and before bytecode lowering.
+ * rollback, after the driver's transform stage, and before bytecode
+ * lowering.
  */
 enum class VerifyMode
 {

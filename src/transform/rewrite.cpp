@@ -5,7 +5,6 @@
 #include <set>
 
 #include "frontend/passes.h"
-#include "interp/interpreter.h"
 
 namespace repro::transform {
 
@@ -805,44 +804,6 @@ RewriteEngine::planAll(const std::vector<idioms::IdiomMatch> &matches)
     return plans;
 }
 
-RewritePlan
-RewriteEngine::planHarden(ir::Function *func,
-                          const HardenOptions &opts)
-{
-    RewritePlan plan;
-    plan.kind = "harden";
-    plan.idiom = "Harden";
-    plan.function = func;
-    for (const auto &bb : func->blocks())
-        plan.claimedBlocks.push_back(bb.get());
-    plan.calleeName = interp::kHardenTrapFunction;
-    plan.calleeReturn = module_.types().voidTy();
-    plan.reuseCallee = true;
-    plan.harden = true;
-    plan.hardenOpts = opts;
-    plan.record.kind = "harden";
-    plan.record.calleeName = plan.calleeName;
-    return plan;
-}
-
-std::vector<RewritePlan>
-RewriteEngine::planHardenAll(size_t firstMatchIndex)
-{
-    std::vector<RewritePlan> plans;
-    for (const auto &func : module_.functions()) {
-        if (func->isDeclaration())
-            continue;
-        auto opts = protectOptionsFor(*func);
-        if (!opts)
-            continue;
-        RewritePlan plan = planHarden(func.get(), *opts);
-        plan.matchIndex = firstMatchIndex + plans.size();
-        plans.push_back(std::move(plan));
-        ++stats_.planned;
-    }
-    return plans;
-}
-
 std::vector<RewritePlan>
 RewriteEngine::selectBackends(std::vector<RewritePlan> plans)
 {
@@ -941,28 +902,6 @@ RewriteEngine::validate(const RewritePlan &plan) const
     }
     if (!owned)
         return "function is no longer part of the module";
-
-    // Hardening plans carry no loop shape, kernels or call arguments;
-    // only their block claims and the trap declaration need checking.
-    if (plan.harden) {
-        std::set<const BasicBlock *> liveBlocks;
-        for (const auto &bb : plan.function->blocks())
-            liveBlocks.insert(bb.get());
-        for (const BasicBlock *bb : plan.claimedBlocks) {
-            if (!liveBlocks.count(bb))
-                return "a claimed block was erased from the function";
-        }
-        if (Function *existing =
-                module_.functionByName(plan.calleeName)) {
-            if (!existing->isDeclaration() ||
-                !existing->returnType()->isVoid() ||
-                existing->numArgs() != 0) {
-                return "existing '" + plan.calleeName +
-                       "' is incompatible with the hardening trap";
-            }
-        }
-        return "";
-    }
 
     // Whitelist of safely-referenceable values, rebuilt against the
     // current IR: the function's live instructions and arguments plus
@@ -1094,9 +1033,6 @@ RewriteEngine::commitPlan(
     std::map<const Value *, Value *> &remap,
     std::map<Function *, std::set<Function *>> &calleeUsers)
 {
-    if (plan.harden)
-        return commitHarden(plan);
-
     auto resolve = [&remap](Value *v) -> Value * {
         auto it = remap.find(v);
         return it == remap.end() ? v : it->second;
@@ -1218,17 +1154,6 @@ RewriteEngine::commitPlan(
     return true;
 }
 
-bool
-RewriteEngine::commitHarden(RewritePlan &plan)
-{
-    Function *trap = getOrCreateHardenTrap(module_);
-    if (!trap)
-        return false; // pre-mutation: nothing to roll back
-    hardenFunction(module_, *plan.function, trap, plan.hardenOpts);
-    plan.record.callee = trap;
-    return true;
-}
-
 std::vector<Replacement>
 RewriteEngine::commit(std::vector<RewritePlan> plans)
 {
@@ -1322,11 +1247,6 @@ std::vector<Replacement>
 RewriteEngine::applyAll(const std::vector<idioms::IdiomMatch> &matches)
 {
     std::vector<RewritePlan> plans = planAll(matches);
-    // Hardening plans ride the same resolve/validate/commit pipeline;
-    // their whole-function claims evict any idiom plan inside a
-    // protected function during overlap resolution.
-    for (RewritePlan &plan : planHardenAll(matches.size()))
-        plans.push_back(std::move(plan));
     plans = resolveOverlaps(std::move(plans));
     std::vector<RewritePlan> valid;
     valid.reserve(plans.size());

@@ -55,7 +55,6 @@
 #include "idioms/library.h"
 #include "ir/verifier.h"
 #include "transform/extract.h"
-#include "transform/harden.h"
 #include "transform/loop_shape.h"
 #include "transform/transform.h"
 
@@ -119,20 +118,6 @@ struct RewritePlan
      */
     ir::Value *resultReplaces = nullptr;
 
-    /**
-     * Reliability-hardening plan (kind "harden"): instead of an idiom
-     * replacement, commit applies the EDDI/CFCSS passes of
-     * transform/harden.h to the whole function. Such a plan claims
-     * EVERY block of its function — strictly more than any natural
-     * loop can claim (the entry block is never part of a loop) — so
-     * widest-claim-first overlap resolution deterministically hardens
-     * a `__protect`ed function instead of API-rewriting loops inside
-     * it. The loop shape stays empty; validate() has a dedicated
-     * early path for harden plans.
-     */
-    bool harden = false;
-    HardenOptions hardenOpts;
-
     /** Idiom class of the source match (backend legality). */
     idioms::IdiomClass cls = idioms::IdiomClass::Other;
     /** The (API, platform, predicted cost) this plan lowers to. */
@@ -194,10 +179,9 @@ class RewriteEngine
      * every function it touched: after its cleanup passes when its
      * plans committed ("rewrite-commit"), and right after the undo
      * replay when a mid-commit failure rolled it back
-     * ("rewrite-rollback"). Harden commits flow through the same
-     * pipeline and are covered by the same checks. A verification
-     * failure throws InternalError naming the boundary — turning a
-     * silent mis-rewrite into a hard stop at the pass that caused it.
+     * ("rewrite-rollback"). A verification failure throws
+     * InternalError naming the boundary — turning a silent
+     * mis-rewrite into a hard stop at the pass that caused it.
      */
     explicit RewriteEngine(ir::Module &module,
                            ir::VerifyMode verify = ir::VerifyMode::Off,
@@ -227,18 +211,6 @@ class RewriteEngine
      */
     std::vector<RewritePlan>
     planAll(const std::vector<idioms::IdiomMatch> &matches);
-
-    /** Plan hardening of one function (claims all of its blocks). */
-    RewritePlan planHarden(ir::Function *func,
-                           const HardenOptions &opts);
-
-    /**
-     * Plan hardening for every definition carrying a protect
-     * attribute (frontend `__protect` annotation), assigning
-     * matchIndex values starting at @p firstMatchIndex so idiom plans
-     * keep commit-order priority on ties.
-     */
-    std::vector<RewritePlan> planHardenAll(size_t firstMatchIndex);
 
     /**
      * Backend selection, then overlap resolution. Selection groups
@@ -325,17 +297,6 @@ class RewriteEngine
                std::map<const ir::Value *, ir::Value *> &remap,
                std::map<ir::Function *, std::set<ir::Function *>>
                    &calleeUsers);
-
-    /**
-     * Apply a hardening plan. Fallible only BEFORE any mutation (a
-     * hostile module may hold an incompatible @__harden_fault), so no
-     * undo entries are needed: after the trap declaration resolves,
-     * hardenFunction is infallible on verified IR. A trap declaration
-     * created here is deliberately left behind on a later rollback of
-     * the same function — the same benign-leftover tradeoff the
-     * shared idiom callees make.
-     */
-    bool commitHarden(RewritePlan &plan);
 
     friend std::vector<BackendDecision>
     planBackendDecisions(ir::Module &,

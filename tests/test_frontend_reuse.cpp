@@ -97,7 +97,6 @@ expectSameAsFresh(const Compiled &got, const std::string &source)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i]->name(), b[i]->name());
         EXPECT_EQ(a[i]->contentHash(), b[i]->contentHash()) << a[i]->name();
-        EXPECT_EQ(a[i]->attributes(), b[i]->attributes()) << a[i]->name();
     }
 }
 
@@ -245,9 +244,6 @@ TEST(FrontendReuse, DeclarationChangesReuseNothing)
         edit("int table[16];", "int table[32];"),
         // A new global, used by nobody.
         edit("int table[16];", "int table[16];\nint spare;"),
-        // A reliability annotation.
-        edit("double g(double x)", "__protect double g(double x)"),
-        edit("double g(double x)", "__protect(eddi) double g(double x)"),
     };
     Compiled first = compile(base);
     for (const std::string &v : variants) {

@@ -97,9 +97,9 @@ TEST(Lexer, TokenStreamIsPinned)
          "K:int@1:1 K:long@1:5 K:float@1:10 K:double@1:16 K:void@1:23 "
          "K:for@1:28 K:while@1:32 K:do@1:38 K:if@1:41 K:else@1:44 "
          "K:return@1:49 K:break@1:56 K:continue@1:62 K:const@1:71 "
-         "K:__protect@1:77 E:@1:86"},
+         "I:__protect@1:77 E:@1:86"},
         {"__protect(eddi) integer fort _x x1 __protected",
-         "K:__protect@1:1 P:(@1:10 I:eddi@1:11 P:)@1:15 I:integer@1:17 "
+         "I:__protect@1:1 P:(@1:10 I:eddi@1:11 P:)@1:15 I:integer@1:17 "
          "I:fort@1:25 I:_x@1:30 I:x1@1:33 I:__protected@1:36 E:@1:47"},
         {"\tint\r\n  x;\f\v",
          "K:int@1:2 I:x@2:3 P:;@2:4 E:@2:7"},

@@ -440,47 +440,3 @@ TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
         }
     }
 }
-
-TEST(RewriteEngine, HardeningClaimBeatsGemmOverlap)
-{
-    // A hardening plan claims every block of its function — strictly
-    // more than the GEMM plan's loop-nest claim — so widest-claim-
-    // first resolution must pick hardening deterministically, however
-    // the plans are ordered, and commit must leave verified IR.
-    ir::Module module;
-    frontend::compileMiniCOrDie(kGemmSrc, module);
-    ir::Function *fn = module.functionByName("sgemm");
-    ASSERT_NE(fn, nullptr);
-    fn->addAttribute("protect");
-
-    idioms::IdiomDetector det;
-    auto matches = det.detectModule(module);
-    ASSERT_GE(matches.size(), 1u);
-
-    transform::RewriteEngine engine(module);
-    std::vector<transform::RewritePlan> plans =
-        engine.planAll(matches);
-    ASSERT_GE(plans.size(), 1u);
-    EXPECT_EQ(plans[0].kind, "gemm");
-    for (transform::RewritePlan &plan :
-         engine.planHardenAll(matches.size()))
-        plans.push_back(std::move(plan));
-    ASSERT_EQ(plans.size(), matches.size() + 1);
-
-    // The hardening plan's claim is a strict superset of the GEMM
-    // nest's claim (the entry block is in no loop).
-    EXPECT_GT(plans.back().claimedBlocks.size(),
-              plans[0].claimedBlocks.size());
-
-    auto survivors = engine.resolveOverlaps(std::move(plans));
-    ASSERT_EQ(survivors.size(), 1u);
-    EXPECT_EQ(survivors[0].kind, "harden");
-    EXPECT_GE(engine.stats().droppedOverlap, 1u);
-
-    EXPECT_EQ(engine.validate(survivors[0]), "");
-    auto reps = engine.commit(std::move(survivors));
-    ASSERT_EQ(reps.size(), 1u);
-    EXPECT_EQ(reps[0].kind, "harden");
-    auto problems = ir::verifyModule(module);
-    EXPECT_TRUE(problems.empty()) << problems.front();
-}

@@ -421,6 +421,14 @@ TEST(MatchService, CompileErrorKeepsPreviousSession)
     EXPECT_FALSE(bad.ok);
     EXPECT_FALSE(bad.error.empty());
 
+    // `__protect` is an ordinary identifier, so it cannot start a
+    // declaration: the SUBMIT is a located compile error.
+    auto annotated =
+        svc.submit("clientA", "__protect int f() { return 0; }");
+    EXPECT_FALSE(annotated.ok);
+    EXPECT_NE(annotated.error.find("error at 1:"), std::string::npos)
+        << annotated.error;
+
     service::SubmitOutcome last;
     ASSERT_TRUE(svc.lastOutcome("clientA", &last));
     EXPECT_TRUE(last.ok);

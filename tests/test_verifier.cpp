@@ -302,22 +302,6 @@ TEST(Verifier, UnreachableBlockIsWarningOnly)
     EXPECT_TRUE(verifyFunction(f).empty());
 }
 
-TEST(Verifier, UnknownAttributeIsWarningOnly)
-{
-    Module m;
-    Function *f = m.createFunction("f", m.types().voidTy(), {});
-    IRBuilder b(m);
-    b.setInsertPoint(f->createBlock("entry"));
-    b.retVoid();
-    f->addAttribute("protect"); // known: no finding
-    f->addAttribute("vectorize=16"); // unknown: warning
-
-    VerifierReport report = verifyFunctionDetailed(f);
-    EXPECT_TRUE(report.ok()) << report.str();
-    EXPECT_TRUE(report.hasRule("attr-unknown")) << report.str();
-    EXPECT_EQ(report.warningCount(), 1u) << report.str();
-}
-
 // The seed verifier checked nothing about call sites — a rewrite that
 // materialized a call with the wrong arity or types sailed through
 // verifyModule. These four pin the new call rules, through the legacy
