@@ -17,9 +17,8 @@ CandidateIndex::add(Value *v)
     // handles of unnamed values — but only write function-owned
     // values (arguments, instructions). Constants and globals are
     // interned per module and shared across functions: their ids are
-    // never read (Constant/GlobalVariable override handle()), and
-    // writing them here would race between concurrent per-function
-    // index builds.
+    // never read (Constant/GlobalVariable override handle()), so
+    // indexing one function must not write state its siblings share.
     if (v->isArgument() || v->isInstruction())
         v->setId(static_cast<int>(universe_.size()));
     else

@@ -7,15 +7,14 @@
  * to rebuild the value universe and the opcode/constant/argument
  * buckets — once per (function, idiom) pair, and via
  * Function::renumber(), which also wrote ids into module-shared
- * constants (a data race once functions of one module are matched
- * concurrently). The CandidateIndex hoists that work into one pass
- * per function that touches only function-owned state: it assigns
- * the dense ids of arguments and instructions (so unnamed values
- * keep their printable "%N" handles) but never writes to the
- * module-interned constants and globals, making it safe to build and
- * query from parallel matching shards. It is cached inside
- * FunctionAnalyses so all idioms solved against a function share one
- * index.
+ * constants. The CandidateIndex hoists that work into one pass per
+ * function that touches only function-owned state: it assigns the
+ * dense ids of arguments and instructions (so unnamed values keep
+ * their printable "%N" handles) but never writes to the
+ * module-interned constants and globals, so indexing one function
+ * leaves every other function of its module as it was. It is cached
+ * inside FunctionAnalyses so all idioms solved against a function
+ * share one index.
  *
  * The traversal order deliberately replicates Function::renumber()
  * (arguments, then instructions in block order, module constants and

@@ -1,13 +1,9 @@
 #include "driver/driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstring>
-#include <exception>
-#include <mutex>
 #include <set>
-#include <thread>
 
 #include "analysis/dominators.h"
 #include "analysis/function_analyses.h"
@@ -17,83 +13,6 @@
 #include "transform/binder.h"
 
 namespace repro::driver {
-
-namespace {
-
-/** Resolve a requested worker count against the item count. */
-unsigned
-resolveThreads(unsigned requested, size_t numItems)
-{
-    if (requested == 0) {
-        requested = std::thread::hardware_concurrency();
-        if (requested == 0)
-            requested = 1;
-    }
-    if (static_cast<size_t>(requested) > numItems)
-        requested = static_cast<unsigned>(numItems ? numItems : 1);
-    return requested;
-}
-
-/**
- * The work-stealing shard pool shared by matchModules (match and
- * transform stages) and the transform-verification harness:
- * @p work(item, worker) runs once per item index on one of
- * @p numThreads workers (already resolved via resolveThreads). One
- * shared counter is the queue: idle workers pop the next unclaimed
- * item, so expensive items do not serialize the tail. The first
- * exception wins, stops the pool, and is rethrown after the join.
- */
-template <typename WorkFn>
-void
-runSharded(size_t numItems, unsigned numThreads, WorkFn &&work)
-{
-    std::atomic<size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex errorMutex;
-    std::exception_ptr firstError;
-
-    auto worker = [&](unsigned w) {
-        try {
-            for (size_t i =
-                     next.fetch_add(1, std::memory_order_relaxed);
-                 i < numItems &&
-                 !failed.load(std::memory_order_relaxed);
-                 i = next.fetch_add(1, std::memory_order_relaxed)) {
-                work(i, w);
-            }
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(errorMutex);
-            if (!firstError)
-                firstError = std::current_exception();
-            failed.store(true, std::memory_order_relaxed);
-        }
-    };
-
-    if (numThreads <= 1) {
-        worker(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(numThreads);
-        try {
-            for (unsigned w = 0; w < numThreads; ++w)
-                pool.emplace_back(worker, w);
-        } catch (...) {
-            // Thread creation failed (resource exhaustion): drain the
-            // queue with the started workers, then report the error —
-            // destroying a joinable std::thread would terminate().
-            failed.store(true, std::memory_order_relaxed);
-            for (auto &t : pool)
-                t.join();
-            throw;
-        }
-        for (auto &t : pool)
-            t.join();
-    }
-    if (firstError)
-        std::rethrow_exception(firstError);
-}
-
-} // namespace
 
 std::vector<idioms::IdiomMatch>
 MatchReport::allMatches() const
@@ -126,91 +45,42 @@ MatchingDriver::compileAndMatch(const std::string &source,
 MatchReport
 MatchingDriver::matchModule(ir::Module &module)
 {
-    return std::move(matchModules({&module}, 1).front());
-}
-
-transform::BackendConfig
-MatchingDriver::backendConfig() const
-{
-    transform::BackendConfig config;
-    config.policy = opts_.backendPolicy;
-    config.forced = opts_.forcedBackends;
-    return config;
-}
-
-std::vector<MatchReport>
-MatchingDriver::matchModules(const std::vector<ir::Module *> &modules,
-                             unsigned numThreads)
-{
-    // Preassign report slots in module order so the result layout is
-    // deterministic before any worker runs; scheduling order never
-    // leaks into the report.
-    std::vector<MatchReport> reports(modules.size());
-    for (size_t m = 0; m < modules.size(); ++m) {
-        for (const auto &f : modules[m]->functions()) {
-            if (!f->isDeclaration())
-                reports[m].functions.emplace_back().function = f.get();
-        }
-    }
-    std::vector<FunctionReport *> slots;
-    for (auto &report : reports) {
-        for (auto &fr : report.functions)
-            slots.push_back(&fr);
-    }
-
-    const unsigned threads = resolveThreads(numThreads, slots.size());
-    std::vector<solver::SolveStats> workerStats(threads);
-    runSharded(slots.size(), threads, [&](size_t i, unsigned w) {
-        FunctionReport &fr = *slots[i];
-        ir::Function *func = fr.function;
-        // Cross-request cache consults are the only shared state on
-        // the worker path; the MatchCache is internally mutex-guarded
-        // and replays never touch analyses at all.
+    MatchReport report;
+    for (const auto &f : module.functions()) {
+        if (f->isDeclaration())
+            continue;
+        ir::Function *func = f.get();
+        FunctionReport &fr = report.functions.emplace_back();
+        fr.function = func;
         if (opts_.cache) {
             fr.contentHash = func->contentHash();
-            if (tryReplay(func, &fr))
-                return;
+            if (tryReplay(func, &fr)) {
+                // Replays count in the report but not in totals_,
+                // which measures real search work only.
+                ++report.cacheHits;
+                report.totals += fr.stats;
+                continue;
+            }
+            ++report.cacheMisses;
         }
-        // Shard-owned analyses (each function is exactly one shard):
-        // no sharing between workers, hence no locks on the matching
-        // hot path.
         analysis::FunctionAnalyses fa(func);
         idioms::IdiomDetector detector(opts_.limits);
         fr.matches = detector.detect(func, fa);
         fr.stats = detector.stats();
         fr.status = detector.status();
-        workerStats[w] += fr.stats;
+        totals_ += fr.stats;
+        report.totals += fr.stats;
+        report.status = solver::worseStatus(report.status, fr.status);
         if (opts_.cache)
             storeSolveResult(func, fr);
-    });
-    // Contention-free stats: each worker accumulated privately; the
-    // merge happens once, after the join.
-    for (const auto &s : workerStats)
-        totals_ += s;
-
-    for (auto &report : reports) {
-        for (const auto &fr : report.functions) {
-            report.totals += fr.stats;
-            report.status = solver::worseStatus(report.status, fr.status);
-            if (opts_.cache)
-                fr.fromCache ? ++report.cacheHits : ++report.cacheMisses;
-        }
     }
     if (opts_.applyTransforms) {
-        // Each module gets a private transactional engine, so modules
-        // transform concurrently with results identical to a serial
-        // stage.
-        const transform::BackendConfig config = backendConfig();
-        runSharded(modules.size(),
-                   resolveThreads(numThreads, modules.size()),
-                   [&](size_t m, unsigned) {
-                       transform::Transformer transformer(
-                           *modules[m], opts_.verify, config);
-                       reports[m].replacements = transformer.applyAll(
-                           reports[m].allMatches());
-                   });
+        transform::Transformer transformer(
+            module, opts_.verify,
+            {opts_.backendPolicy, opts_.forcedBackends});
+        report.replacements = transformer.applyAll(report.allMatches());
     }
-    return reports;
+    return report;
 }
 
 namespace {
@@ -227,8 +97,7 @@ struct ExecutionSnapshot
 
 /**
  * Seed a fresh heap with the program's setup, execute its entry
- * through one engine, and snapshot heap/return/profile. Fully
- * self-contained, hence safe per parallel worker.
+ * through one engine, and snapshot heap/return/profile.
  */
 ExecutionSnapshot
 runBenchmark(ir::Module &module,
@@ -419,16 +288,11 @@ MatchingDriver::verifyTransform(
 }
 
 std::vector<TransformVerification>
-MatchingDriver::verifyTransforms(unsigned numThreads) const
+MatchingDriver::verifyTransforms() const
 {
-    // Touch every magic-static cache (suite sources, parsed idiom
-    // library, lowered/compiled programs) before workers spawn.
-    const auto &suite = benchmarks::nasParboilSuite();
-    std::vector<TransformVerification> out(suite.size());
-    unsigned threads = resolveThreads(numThreads, suite.size());
-    runSharded(suite.size(), threads, [&](size_t i, unsigned) {
-        out[i] = verifyTransform(suite[i]);
-    });
+    std::vector<TransformVerification> out;
+    for (const auto &program : benchmarks::nasParboilSuite())
+        out.push_back(verifyTransform(program));
     return out;
 }
 

@@ -13,15 +13,9 @@
  * the paper's search-effort numbers without threading counters
  * through their own loops.
  *
- * Matching is embarrassingly parallel across functions: solving
- * writes nothing outside per-function state (analyses, candidate
- * indices including the function's own value ids, solver stats), all
- * of which is owned by a single worker. matchModules exploits that
- * with a work-stealing shard pool whose results are byte-identical
- * for every thread count; one thread is the serial pipeline. The
- * guarantee is scoped per function: run at most one matching pass
- * over a given module at a time (two concurrent runs would both
- * build indices — and write ids — for the same functions).
+ * Functions are matched one after another in layout order, each
+ * against analyses built for it alone, so a report depends only on
+ * the module and the options.
  */
 #ifndef DRIVER_DRIVER_H
 #define DRIVER_DRIVER_H
@@ -53,12 +47,11 @@ struct DriverOptions
      */
     bool applyTransforms = false;
     /**
-     * Cross-request match cache shared between drivers, service
-     * sessions and worker threads (see driver/match_cache.h). When
-     * set, matchModule/matchModules replay cached solve results
-     * for any function whose contentHash is already stored instead of
-     * re-solving it. Null (the default) preserves the pure batch
-     * pipeline byte for byte.
+     * Cross-request match cache shared between drivers and service
+     * sessions (see driver/match_cache.h). When set, matchModule
+     * replays cached solve results for any function whose contentHash
+     * is already stored instead of re-solving it. Null (the default)
+     * preserves the pure batch pipeline byte for byte.
      */
     std::shared_ptr<MatchCache> cache;
     /**
@@ -201,9 +194,9 @@ struct SolveOutcome
  * solver effort and the optional cross-request match cache.
  *
  * With a MatchCache attached (DriverOptions::cache or attachCache),
- * matchModule / matchModules become incremental across requests: each
- * function's solve result is stored portably under (contentHash,
- * idiomSetHash), and any later function hashing equal — the same
+ * matchModule becomes incremental across requests: each function's
+ * solve result is stored portably under (contentHash, idiomSetHash),
+ * and any later function hashing equal — the same
  * function resubmitted, or the same body from another client —
  * replays the stored matches re-anchored onto its own IR instead of
  * re-solving. Replayed functions contribute their original SolveStats
@@ -225,41 +218,20 @@ class MatchingDriver
     MatchReport compileAndMatch(const std::string &source,
                                 ir::Module &module);
 
-    /** Batch-match every defined function of an existing module:
-     *  matchModules over @p module alone, on the calling thread. */
-    MatchReport matchModule(ir::Module &module);
-
     /**
-     * Match every defined function of @p modules. The functions
-     * become shards on one work-stealing queue drained by
-     * @p numThreads workers (0 = hardware concurrency, 1 = inline on
-     * the calling thread); a shared queue is the right shape when
-     * every module has few functions (each of the paper's 21
-     * benchmark programs compiles to a single-function module). Each
-     * shard builds its own FunctionAnalyses and each worker keeps a
-     * private SolveStats accumulator, merged at join, so the match
-     * sets, the per-function stats and the aggregated totals are
-     * byte-identical for every thread count and reported in module
-     * order regardless of scheduling.
-     *
-     * With applyTransforms, a transform stage follows the join on the
-     * same pool: module @p i becomes one shard, and a fresh
-     * transactional Transformer applies that module's matches to it
-     * (plan → resolve overlaps → validate → commit; see
-     * transform/rewrite.h). Within one module the engine plans in
-     * match order, so the replacement lists do not depend on the
-     * thread count either. Reports are returned in @p modules order.
+     * Match every defined function of @p module in layout order:
+     * replay it from the attached cache, or build its analyses and
+     * run the idiom detector. With applyTransforms, a transactional
+     * Transformer then applies the matches to the module (plan →
+     * resolve overlaps → validate → commit; see transform/rewrite.h).
      */
-    std::vector<MatchReport>
-    matchModules(const std::vector<ir::Module *> &modules,
-                 unsigned numThreads = 1);
+    MatchReport matchModule(ir::Module &module);
 
     /**
      * Differentially verify one benchmark program end to end
      * (match -> transform -> bind -> execute); see
      * TransformVerification for the exact contract. Self-contained:
-     * compiles private modules and drivers (only opts_ is read), so
-     * it is safe to call concurrently from many workers.
+     * compiles private modules and drivers (only opts_ is read).
      */
     TransformVerification
     verifyTransform(const benchmarks::BenchmarkProgram &program) const;
@@ -278,15 +250,9 @@ class MatchingDriver
                     const std::function<void(ir::Module &)> &tamper)
         const;
 
-    /**
-     * verifyTransform over the whole NAS/Parboil suite. The programs
-     * become shards on the same work-stealing pool matchModules uses
-     * (0 = hardware concurrency); results are written to slots
-     * preassigned in suite order, so they do not depend on
-     * @p numThreads or on scheduling.
-     */
-    std::vector<TransformVerification>
-    verifyTransforms(unsigned numThreads = 1) const;
+    /** verifyTransform over the whole NAS/Parboil suite, in suite
+     *  order. */
+    std::vector<TransformVerification> verifyTransforms() const;
 
     /**
      * Solve an already lowered constraint program against a function.
@@ -329,9 +295,6 @@ class MatchingDriver
      * uncached.
      */
     void storeSolveResult(ir::Function *func, const FunctionReport &fr);
-
-    /** Backend-selection inputs for a Transformer, from the options. */
-    transform::BackendConfig backendConfig() const;
 
     DriverOptions opts_;
     solver::SolveStats totals_;

@@ -248,10 +248,10 @@ MatchCache::reanchor(const std::vector<PortableMatch> &matches,
     // "%-1" handles and warm fingerprints diverge from cold ones.
     // Like CandidateIndex (and unlike Function::renumber), only
     // function-owned values are written: module-interned constants
-    // and globals are shared across functions, their ids are never
-    // read, and writing them here would race between parallel
-    // replay/solve workers. They still advance the counter so the
-    // dense sequence matches the solve path's exactly.
+    // and globals are shared across functions and their ids are never
+    // read, so replay leaves them untouched just as the solve path
+    // does. They still advance the counter so the dense sequence
+    // matches the solve path's exactly.
     {
         int next = 0;
         std::set<const ir::Value *> seenShared;

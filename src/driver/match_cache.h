@@ -34,8 +34,8 @@
  * them.
  *
  * Size-bounded: least-recently-used entries are evicted beyond
- * capacity(). All operations are mutex-guarded, so parallel matching
- * shards and concurrent service connections share one cache safely.
+ * capacity(). All operations are mutex-guarded, so the daemon's
+ * connection threads and its snapshot autosave share one cache safely.
  */
 #ifndef DRIVER_MATCH_CACHE_H
 #define DRIVER_MATCH_CACHE_H

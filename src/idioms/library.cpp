@@ -636,8 +636,8 @@ struct CachedIdiom
 const std::map<std::string, CachedIdiom> &
 idiomCache()
 {
-    // Built eagerly under the magic-static lock so concurrent
-    // matching shards only ever read the finished map.
+    // Built eagerly under the magic-static lock so drivers on
+    // concurrent service connections only ever read the finished map.
     static const auto cache = [] {
         std::map<std::string, CachedIdiom> m;
         for (const auto &name : topLevelIdioms()) {
@@ -831,13 +831,6 @@ std::vector<IdiomMatch>
 IdiomDetector::detectOne(ir::Function *func, const std::string &idiom)
 {
     analysis::FunctionAnalyses fa(func);
-    return runIdiom(func, idiom, fa);
-}
-
-std::vector<IdiomMatch>
-IdiomDetector::detectOne(ir::Function *func, const std::string &idiom,
-                         analysis::FunctionAnalyses &fa)
-{
     return runIdiom(func, idiom, fa);
 }
 

@@ -45,9 +45,9 @@ struct IdiomMatch
 
 /**
  * Stable serialization of a match's full identity — the comparison
- * key the serial-vs-parallel equivalence tests, benches and examples
- * share, and the identity matches carry into cross-module stores. It
- * embeds the owning module's name and the function's structural
+ * key the equivalence tests, benches and examples share, and the
+ * identity matches carry into cross-module stores. It embeds the
+ * owning module's name and the function's structural
  * contentHash() next to the idiom, class, function name and every
  * solution binding, so two modules with a same-named function (or the
  * same function before and after an edit) never collide.
@@ -140,11 +140,6 @@ class IdiomDetector
     std::vector<IdiomMatch> detectOne(ir::Function *func,
                                       const std::string &idiom);
 
-    /** Single named idiom with externally owned analyses. */
-    std::vector<IdiomMatch> detectOne(ir::Function *func,
-                                      const std::string &idiom,
-                                      analysis::FunctionAnalyses &fa);
-
     /** Accumulated solver statistics. */
     const solver::SolveStats &stats() const { return stats_; }
 
@@ -155,9 +150,6 @@ class IdiomDetector
      * possibly incomplete (degraded, not wrong).
      */
     solver::SolveStatus status() const { return status_; }
-
-    /** Limits applied to every constraint solve. */
-    const solver::SolverLimits &limits() const { return limits_; }
 
   private:
     std::vector<IdiomMatch> runIdiom(ir::Function *func,

@@ -1,6 +1,8 @@
 #include "idl/parser.h"
 
 #include <cctype>
+#include <climits>
+#include <cstdint>
 #include <map>
 
 #include "support/string_utils.h"
@@ -129,9 +131,11 @@ lex(const std::string &source, DiagEngine &diags)
     return out;
 }
 
-/** Parse a calculation expression from a raw string, e.g. "N-1". */
+/** Parse a calculation expression from a raw string, e.g. "N-1";
+ *  integer literals above @p maxLiteral are errors. */
 Calc
-parseCalcText(const std::string &text, SourceLoc loc, DiagEngine &diags)
+parseCalcText(const std::string &text, SourceLoc loc, DiagEngine &diags,
+              int64_t maxLiteral = INT64_MAX)
 {
     Calc calc;
     size_t pos = 0;
@@ -163,7 +167,12 @@ parseCalcText(const std::string &text, SourceLoc loc, DiagEngine &diags)
                        static_cast<unsigned char>(text[pos]))) {
                 ++pos;
             }
-            term.literal = std::stoll(text.substr(start, pos - start));
+            if (!parseDecimal(text.substr(start, pos - start),
+                              &term.literal, maxLiteral)) {
+                diags.error(loc, "integer literal out of range in '" +
+                                     text + "'");
+                break;
+            }
         } else if (std::isalpha(static_cast<unsigned char>(c)) ||
                    c == '_') {
             size_t start = pos;
@@ -219,12 +228,13 @@ parseVarText(const std::string &text, SourceLoc loc, DiagEngine &diags)
                 size_t dots = inner.find("..");
                 comp.hasRange = true;
                 comp.rangeBegin = parseCalcText(inner.substr(0, dots),
-                                                loc, diags);
+                                                loc, diags, INT_MAX);
                 comp.rangeEnd = parseCalcText(inner.substr(dots + 2),
-                                              loc, diags);
+                                              loc, diags, INT_MAX);
             } else {
+                // The solver reads indices back as int (compiled.cpp).
                 comp.hasIndex = true;
-                comp.index = parseCalcText(inner, loc, diags);
+                comp.index = parseCalcText(inner, loc, diags, INT_MAX);
             }
             pos = close + 1;
             // Only one bracket group per component is used by the
@@ -318,6 +328,20 @@ class Parser
         throw FatalError("IDL parse error");
     }
 
+    /** Consume a Number token that fits a T. */
+    template <typename T>
+    T
+    expectNumber(const std::string &what)
+    {
+        T value = 0;
+        if (peek().kind != IdlTok::Number)
+            fail("expected " + what);
+        if (!parseDecimal(peek().text, &value))
+            fail(what + " out of range");
+        next();
+        return value;
+    }
+
     void
     expectWord(const std::string &w)
     {
@@ -354,6 +378,7 @@ class Parser
     parseCalc()
     {
         // Calculations in token position: name/number with +/- chains.
+        const SourceLoc loc = peek().loc;
         std::string text;
         bool expect_term = true;
         while (true) {
@@ -376,7 +401,7 @@ class Parser
         }
         if (text.empty())
             fail("expected a calculation");
-        return parseCalcText(text, peek().loc, diags_);
+        return parseCalcText(text, loc, diags_);
     }
 
     void
@@ -402,11 +427,8 @@ class Parser
                     fail("expected parameter name");
                 std::string pname = next().text;
                 int64_t defval = 0;
-                if (acceptPunct("=")) {
-                    if (peek().kind != IdlTok::Number)
-                        fail("expected parameter default");
-                    defval = std::stoll(next().text);
-                }
+                if (acceptPunct("="))
+                    defval = expectNumber<int64_t>("parameter default");
                 def->params.emplace_back(pname, defval);
             } while (acceptPunct(","));
             expectPunct(")");
@@ -561,7 +583,7 @@ class Parser
                 fail("expected index name after 'collect'");
             node->indexName = next().text;
             if (peek().kind == IdlTok::Number)
-                node->collectMax = std::stoi(next().text);
+                node->collectMax = expectNumber<int>("collect bound");
             node->children.push_back(parseConstraint());
             return node;
         }

@@ -187,7 +187,6 @@ class Interpreter
      * The tree-walking reference engine is unaffected.
      */
     void setVerifyMode(ir::VerifyMode mode) { verify_ = mode; }
-    ir::VerifyMode verifyMode() const { return verify_; }
 
   private:
     friend class CompiledExec;

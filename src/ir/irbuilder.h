@@ -85,8 +85,6 @@ class IRBuilder
     Constant *i1(bool v) { return module_.intConst(types().i1Ty(), v); }
     Constant *f64(double v)
     { return module_.fpConst(types().doubleTy(), v); }
-    Constant *f32(double v)
-    { return module_.fpConst(types().floatTy(), v); }
 
   private:
     Instruction *emit(std::unique_ptr<Instruction> inst);

@@ -1,8 +1,9 @@
 #include "service/protocol.h"
 
-#include <cctype>
 #include <cstdio>
 #include <sstream>
+
+#include "support/string_utils.h"
 
 namespace repro::service {
 
@@ -18,23 +19,6 @@ tokenize(const std::string &line)
 }
 
 namespace {
-
-bool
-parseSize(const std::string &token, size_t *out)
-{
-    if (token.empty())
-        return false;
-    size_t value = 0;
-    for (char c : token) {
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-            return false;
-        if (value > (~size_t(0) - (c - '0')) / 10)
-            return false;
-        value = value * 10 + static_cast<size_t>(c - '0');
-    }
-    *out = value;
-    return true;
-}
 
 Request
 invalid(const std::string &why)
@@ -68,17 +52,16 @@ parseRequest(const std::string &line)
         if (tokens[2].size() > 2 && tokens[2][0] == '<' &&
             tokens[2][1] == '<') {
             r.terminator = tokens[2].substr(2);
-        } else if (!parseSize(tokens[2], &r.payloadBytes)) {
+        } else if (!parseDecimal(tokens[2], &r.payloadBytes)) {
             return invalid("SUBMIT payload size is not a number");
         }
         if (tokens.size() == 4) {
             const std::string &opt = tokens[3];
             const std::string prefix = "DEADLINE_MS=";
-            size_t millis = 0;
             if (opt.compare(0, prefix.size(), prefix) != 0 ||
-                !parseSize(opt.substr(prefix.size()), &millis))
+                !parseDecimal(opt.substr(prefix.size()),
+                              &r.deadlineMillis))
                 return invalid("bad SUBMIT option: " + opt);
-            r.deadlineMillis = millis;
         }
         r.verb = Request::Verb::Submit;
     } else if (verb == "MATCHES") {
@@ -89,7 +72,7 @@ parseRequest(const std::string &line)
     } else if (verb == "STATS") {
         r.verb = Request::Verb::Stats;
     } else if (verb == "CAPACITY") {
-        if (tokens.size() != 2 || !parseSize(tokens[1], &r.capacity))
+        if (tokens.size() != 2 || !parseDecimal(tokens[1], &r.capacity))
             return invalid("usage: CAPACITY <entries>");
         r.verb = Request::Verb::Capacity;
     } else if (verb == "DROP") {

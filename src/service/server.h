@@ -77,8 +77,6 @@ class SocketServer
     /** Stop accepting, shut down live connections, join threads. */
     void stop();
 
-    bool running() const { return running_; }
-
     /** The bound TCP port (after start(); ephemeral ports resolved). */
     int boundTcpPort() const { return boundPort_; }
 

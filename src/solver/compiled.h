@@ -29,8 +29,8 @@
  *
  * A CompiledProgram is immutable after construction and holds no
  * per-search state, so one instance (cached per idiom next to
- * idioms::loweredIdiomOrNull) is shared by every thread of the
- * parallel matching driver.
+ * idioms::loweredIdiomOrNull) is shared by every driver and service
+ * session in the process.
  */
 #ifndef SOLVER_COMPILED_H
 #define SOLVER_COMPILED_H
@@ -137,7 +137,7 @@ struct CompiledNode
     AtomicTraits traits;
     /** Pre-classified isDeferredAtomic() result. */
     bool deferred = false;
-    /** Positional variable slots: varSlots()[varsBegin, varsEnd). */
+    /** Positional variable slots: varSlots_[varsBegin, varsEnd). */
     uint32_t varsBegin = 0, varsEnd = 0;
     /** Variable lists: lists()[listsBegin, listsEnd). */
     uint32_t listsBegin = 0, listsEnd = 0;
@@ -191,7 +191,6 @@ class CompiledProgram
         return varSlots_[n.varsBegin + i];
     }
 
-    const std::vector<uint32_t> &varSlots() const { return varSlots_; }
     const std::vector<uint32_t> &childIds() const { return childIds_; }
     const std::vector<CompiledList> &lists() const { return lists_; }
     const std::vector<ListEntry> &listEntries() const

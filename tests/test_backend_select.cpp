@@ -322,7 +322,7 @@ TEST(BackendExecution, CostModelSuiteSweepIsByteIdentical)
     driver::DriverOptions opts;
     opts.backendPolicy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
-    for (const auto &v : drv.verifyTransforms(0)) {
+    for (const auto &v : drv.verifyTransforms()) {
         EXPECT_TRUE(v.ok()) << v.name << ": " << v.error;
     }
 }

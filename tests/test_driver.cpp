@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 
 #include "benchmarks/suite.h"
 #include "driver/driver.h"
@@ -36,6 +37,22 @@ matchKeys(const std::vector<idioms::IdiomMatch> &matches)
     for (const auto &m : matches)
         keys.push_back(idioms::matchFingerprint(m));
     return keys;
+}
+
+/** A module with @p n functions, each holding a vector-sum reduction. */
+std::string
+manyFunctionSource(int n)
+{
+    std::ostringstream src;
+    for (int i = 0; i < n; ++i) {
+        src << "double sum" << i << "(double *a, int n) {\n"
+            << "  double acc = 0.0;\n"
+            << "  for (int k = 0; k < n; k = k + 1)\n"
+            << "    acc = acc + a[k];\n"
+            << "  return acc;\n"
+            << "}\n";
+    }
+    return src.str();
 }
 
 } // namespace
@@ -209,4 +226,31 @@ TEST(Driver, SolverLimitsAreHonored)
     auto report = drv.compileAndMatch(b.source, module);
     // With an absurdly small budget nothing can be matched.
     EXPECT_EQ(report.matchCount(), 0u);
+}
+
+TEST(Driver, ManyFunctionModule)
+{
+    driver::MatchingDriver drv;
+    ir::Module module;
+    auto report = drv.compileAndMatch(manyFunctionSource(16), module);
+    EXPECT_EQ(report.matchCount(), 16u);
+    ASSERT_EQ(report.functions.size(), 16u);
+    for (size_t i = 0; i < report.functions.size(); ++i) {
+        EXPECT_EQ(report.functions[i].function->name(),
+                  "sum" + std::to_string(i));
+    }
+    // The driver's lifetime totals see exactly this one run.
+    EXPECT_EQ(drv.totals().assignments, report.totals.assignments);
+    EXPECT_EQ(drv.totals().checks, report.totals.checks);
+    EXPECT_EQ(drv.totals().solutions, report.totals.solutions);
+}
+
+TEST(Driver, EmptyModule)
+{
+    driver::MatchingDriver drv;
+    ir::Module module;
+    auto report = drv.matchModule(module);
+    EXPECT_EQ(report.matchCount(), 0u);
+    EXPECT_TRUE(report.functions.empty());
+    EXPECT_EQ(report.totals.assignments, 0u);
 }

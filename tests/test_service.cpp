@@ -288,26 +288,6 @@ TEST(CachedDriver, EditedResubmissionResolvesOnlyEditedFunctions)
               fingerprints(expected.allMatches()));
 }
 
-TEST(CachedDriver, ParallelBatchSharesTheCache)
-{
-    auto cache = std::make_shared<driver::MatchCache>();
-    driver::MatchingDriver drv(
-        driver::DriverOptions{{}, false, cache});
-
-    ir::Module cold;
-    frontend::compileMiniCOrDie(clientSource(), cold);
-    auto coldReport = std::move(drv.matchModules({&cold}, 4).front());
-    EXPECT_EQ(coldReport.cacheMisses, 3u);
-
-    ir::Module warm;
-    frontend::compileMiniCOrDie(clientSource(), warm);
-    auto warmReport = std::move(drv.matchModules({&warm}, 4).front());
-    EXPECT_EQ(warmReport.cacheHits, 3u);
-    EXPECT_EQ(warmReport.cacheMisses, 0u);
-    EXPECT_EQ(fingerprints(warmReport.allMatches()),
-              fingerprints(coldReport.allMatches()));
-}
-
 TEST(CachedDriver, EvictionForcesResolve)
 {
     const std::string srcA = clientSource(100, 50);

@@ -38,7 +38,6 @@
  *                                 green run above means something.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -53,6 +52,7 @@
 #include "ir/verifier.h"
 #include "runtime/cost.h"
 #include "support/diagnostics.h"
+#include "support/string_utils.h"
 
 using namespace repro;
 
@@ -185,9 +185,9 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--json") == 0) {
             json = true;
-        } else if (std::strncmp(argv[i], "--max-warnings=", 15) == 0) {
-            maxWarnings =
-                static_cast<size_t>(std::atoll(argv[i] + 15));
+        } else if (std::strncmp(argv[i], "--max-warnings=", 15) == 0 &&
+                   parseDecimal(argv[i] + 15, &maxWarnings)) {
+            // A malformed count falls through to the usage line.
         } else if (std::strcmp(argv[i], "--self-test") == 0) {
             return selfTest();
         } else {

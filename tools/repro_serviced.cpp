@@ -31,8 +31,8 @@
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <mutex>
@@ -45,6 +45,7 @@
 #include "service/protocol.h"
 #include "service/server.h"
 #include "service/service.h"
+#include "support/string_utils.h"
 
 using namespace repro;
 
@@ -79,7 +80,8 @@ main(int argc, char **argv)
 {
     std::string unix_path;
     std::string snapshot_path;
-    int tcp_port = -1;
+    uint16_t tcp_port = 0;
+    bool use_tcp = false;
     size_t capacity = driver::MatchCache::kDefaultCapacity;
     uint64_t autosave_ms = 0;
     uint64_t deadline_ms = 0;
@@ -87,31 +89,37 @@ main(int argc, char **argv)
     service::ServerOptions server_opts;
 
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--unix=", 7) == 0) {
-            unix_path = argv[i] + 7;
-        } else if (std::strncmp(argv[i], "--tcp=", 6) == 0) {
-            tcp_port = std::atoi(argv[i] + 6);
-        } else if (std::strncmp(argv[i], "--capacity=", 11) == 0) {
-            capacity =
-                static_cast<size_t>(std::atoll(argv[i] + 11));
-        } else if (std::strncmp(argv[i], "--snapshot=", 11) == 0) {
-            snapshot_path = argv[i] + 11;
-        } else if (std::strncmp(argv[i], "--autosave-ms=", 14) == 0) {
-            autosave_ms =
-                static_cast<uint64_t>(std::atoll(argv[i] + 14));
-        } else if (std::strncmp(argv[i], "--deadline-ms=", 14) == 0) {
-            deadline_ms =
-                static_cast<uint64_t>(std::atoll(argv[i] + 14));
-        } else if (std::strncmp(argv[i], "--max-connections=", 18) ==
-                   0) {
-            server_opts.maxConnections =
-                static_cast<size_t>(std::atoll(argv[i] + 18));
-        } else if (std::strncmp(argv[i], "--max-inflight=", 15) == 0) {
-            server_opts.maxInFlight =
-                static_cast<size_t>(std::atoll(argv[i] + 15));
-        } else if (std::strcmp(argv[i], "--cost-model") == 0) {
+        const char *arg = argv[i];
+        // Numeric flags take digits only, at most the target's
+        // maximum: a misparsed limit must not silently become 0 or
+        // wrap around.
+        bool malformed = false;
+        auto numeric = [&](const char *prefix, auto *out) {
+            const size_t len = std::strlen(prefix);
+            if (std::strncmp(arg, prefix, len) != 0)
+                return false;
+            malformed = !parseDecimal(arg + len, out);
+            return true;
+        };
+        if (std::strncmp(arg, "--unix=", 7) == 0) {
+            unix_path = arg + 7;
+        } else if (numeric("--tcp=", &tcp_port)) {
+            use_tcp = true;
+        } else if (numeric("--capacity=", &capacity) ||
+                   numeric("--autosave-ms=", &autosave_ms) ||
+                   numeric("--deadline-ms=", &deadline_ms) ||
+                   numeric("--max-connections=",
+                           &server_opts.maxConnections) ||
+                   numeric("--max-inflight=", &server_opts.maxInFlight)) {
+            // numeric() stored the value.
+        } else if (std::strncmp(arg, "--snapshot=", 11) == 0) {
+            snapshot_path = arg + 11;
+        } else if (std::strcmp(arg, "--cost-model") == 0) {
             cost_model = true;
         } else {
+            malformed = true;
+        }
+        if (malformed) {
             std::fprintf(
                 stderr,
                 "usage: %s [--unix=PATH | --tcp=PORT] [--capacity=N]"
@@ -181,7 +189,7 @@ main(int argc, char **argv)
         logSnapshot("save", result);
     };
 
-    if (unix_path.empty() && tcp_port < 0) {
+    if (unix_path.empty() && !use_tcp) {
         service::runRepl(svc, std::cin, std::cout);
         stopAutosave();
         saveFinal();
@@ -189,7 +197,7 @@ main(int argc, char **argv)
     }
 
     server_opts.unixPath = unix_path;
-    server_opts.tcpPort = tcp_port;
+    server_opts.tcpPort = use_tcp ? tcp_port : -1;
     service::SocketServer server(svc, server_opts);
     try {
         server.start();
