@@ -41,8 +41,7 @@ main()
             auto t1 = std::chrono::steady_clock::now();
             ir::Module m2;
             frontend::compileMiniCOrDie(b.source, m2);
-            idioms::IdiomDetector detector;
-            detector.detectModule(m2);
+            driver::MatchingDriver{}.matchModule(m2);
             with_ms = std::min(with_ms, msSince(t1));
         }
         double overhead = (with_ms / without_ms - 1.0) * 100.0;

@@ -835,13 +835,6 @@ IdiomDetector::detectOne(ir::Function *func, const std::string &idiom)
 }
 
 std::vector<IdiomMatch>
-IdiomDetector::detect(ir::Function *func)
-{
-    analysis::FunctionAnalyses fa(func);
-    return detect(func, fa);
-}
-
-std::vector<IdiomMatch>
 IdiomDetector::detect(ir::Function *func,
                       analysis::FunctionAnalyses &fa)
 {
@@ -879,18 +872,6 @@ IdiomDetector::detect(ir::Function *func,
             }
             all.push_back(std::move(m));
         }
-    }
-    return all;
-}
-
-std::vector<IdiomMatch>
-IdiomDetector::detectModule(ir::Module &module)
-{
-    std::vector<IdiomMatch> all;
-    for (const auto &f : module.functions()) {
-        auto matches = detect(f.get());
-        for (auto &m : matches)
-            all.push_back(std::move(m));
     }
     return all;
 }

@@ -123,18 +123,13 @@ class IdiomDetector
     IdiomDetector();
     explicit IdiomDetector(const solver::SolverLimits &limits);
 
-    /** Detect all idioms in one function. */
-    std::vector<IdiomMatch> detect(ir::Function *func);
-
     /**
-     * Detect all idioms in one function, reusing externally owned
-     * analyses (the MatchingDriver's per-function cache).
+     * Detect all idioms in one function over analyses the caller
+     * built for it. Whole modules go through
+     * driver::MatchingDriver::matchModule.
      */
     std::vector<IdiomMatch> detect(ir::Function *func,
                                    analysis::FunctionAnalyses &fa);
-
-    /** Detect across a whole module. */
-    std::vector<IdiomMatch> detectModule(ir::Module &module);
 
     /** Search a single named idiom (no subsumption). */
     std::vector<IdiomMatch> detectOne(ir::Function *func,

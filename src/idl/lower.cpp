@@ -1,5 +1,6 @@
 #include "idl/lower.h"
 
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -19,11 +20,16 @@ struct Env
     std::set<std::string> markers; ///< collect indices -> '#'
 };
 
-/** Evaluate a calculation; returns false if it names a marker. */
+/**
+ * Evaluate a calculation; returns false if it names a marker. Throws
+ * when the sum leaves int64.
+ */
 bool
 evalCalc(const Calc &calc, const Env &env, int64_t &out,
          const std::string &context)
 {
+    constexpr int64_t lo = std::numeric_limits<int64_t>::min();
+    constexpr int64_t hi = std::numeric_limits<int64_t>::max();
     int64_t acc = 0;
     for (const auto &term : calc.terms) {
         int64_t v;
@@ -39,10 +45,31 @@ evalCalc(const Calc &calc, const Env &env, int64_t &out,
         } else {
             v = term.literal;
         }
-        acc += term.sign * v;
+        const bool overflow = term.sign > 0
+                                  ? (v > 0 ? acc > hi - v : acc < lo - v)
+                                  : (v > 0 ? acc < lo + v : acc > hi + v);
+        if (overflow) {
+            throw FatalError("IDL lowering: integer overflow in " +
+                             context);
+        }
+        acc = term.sign > 0 ? acc + v : acc - v;
     }
     out = acc;
     return true;
+}
+
+/**
+ * Reject a variable index the solver cannot hold. Indices are read
+ * back as int, and an index i needs i + 1 expansion slots, so the
+ * largest one is INT_MAX - 1.
+ */
+void
+checkIndex(int64_t v, const std::string &component)
+{
+    if (v < 0 || v > std::numeric_limits<int>::max() - 1) {
+        throw FatalError("IDL lowering: index " + std::to_string(v) +
+                         " of '" + component + "' out of range");
+    }
 }
 
 /** Flatten a VarRef into a variable name string under @p env. */
@@ -60,6 +87,7 @@ flattenVar(const VarRef &ref, const Env &env)
         } else if (comp.hasIndex) {
             int64_t v;
             if (evalCalc(comp.index, env, v, comp.name)) {
+                checkIndex(v, comp.name);
                 os << "[" << v << "]";
             } else {
                 os << "[#]";
@@ -92,6 +120,10 @@ flattenListEntry(const VarRef &ref, const Env &env,
         !evalCalc(comp.rangeEnd, env, hi, comp.name)) {
         throw FatalError("IDL lowering: range bounds cannot use a "
                          "collect index");
+    }
+    if (lo < hi) {
+        checkIndex(lo, comp.name);
+        checkIndex(hi - 1, comp.name);
     }
     for (int64_t k = lo; k < hi; ++k) {
         VarRef copy = ref;

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "support/diagnostics.h"
-#include "support/string_utils.h"
 
 namespace repro::ir {
 
@@ -131,40 +130,6 @@ TypeContext::import(const Type *foreign)
         return functionTy(import(foreign->returnType()), std::move(params));
       }
     }
-    return nullptr;
-}
-
-Type *
-TypeContext::parse(const std::string &text)
-{
-    std::string s = trimString(text);
-    if (s.empty())
-        return nullptr;
-    if (endsWith(s, "*")) {
-        Type *inner = parse(s.substr(0, s.size() - 1));
-        return inner ? pointerTo(inner) : nullptr;
-    }
-    if (s.front() == '[' && s.back() == ']') {
-        std::string body = s.substr(1, s.size() - 2);
-        size_t xpos = body.find(" x ");
-        if (xpos == std::string::npos)
-            return nullptr;
-        uint64_t count = std::stoull(trimString(body.substr(0, xpos)));
-        Type *elem = parse(body.substr(xpos + 3));
-        return elem ? arrayOf(elem, count) : nullptr;
-    }
-    if (s == "void")
-        return voidTy_;
-    if (s == "i1")
-        return i1Ty_;
-    if (s == "i32")
-        return i32Ty_;
-    if (s == "i64")
-        return i64Ty_;
-    if (s == "float")
-        return floatTy_;
-    if (s == "double")
-        return doubleTy_;
     return nullptr;
 }
 

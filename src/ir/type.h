@@ -111,9 +111,6 @@ class TypeContext
     /** This context's type structurally equal to @p foreign's. */
     Type *import(const Type *foreign);
 
-    /** Parse a type from its str() rendering; null on failure. */
-    Type *parse(const std::string &text);
-
   private:
     Type *make(Type::Kind kind, Type *element, uint64_t array_size,
                std::vector<Type *> params);

@@ -592,17 +592,6 @@ verifyModuleDetailed(Module &module)
 }
 
 std::vector<std::string>
-verifyFunction(Function *func)
-{
-    std::vector<std::string> problems;
-    for (const auto &d : verifyFunctionDetailed(func).diags) {
-        if (d.severity == VerifySeverity::Error)
-            problems.push_back(d.str());
-    }
-    return problems;
-}
-
-std::vector<std::string>
 verifyModule(Module &module)
 {
     std::vector<std::string> problems;

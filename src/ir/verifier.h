@@ -118,12 +118,9 @@ VerifierReport verifyModuleDetailed(Module &module);
 
 /**
  * Legacy string API: the error-tier diagnostics of
- * verifyFunctionDetailed rendered as strings (empty when valid).
+ * verifyModuleDetailed rendered as strings (empty when valid).
  * Warnings are not included — they never fail a compile.
  */
-std::vector<std::string> verifyFunction(Function *func);
-
-/** Legacy string API over a whole module. */
 std::vector<std::string> verifyModule(Module &module);
 
 /**

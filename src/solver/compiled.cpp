@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 
+#include "support/diagnostics.h"
 #include "support/string_utils.h"
 
 namespace repro::solver {
@@ -159,7 +160,14 @@ CompiledProgram::finalizeTables()
                 ++j;
             }
             if (j > i + 1 && j < name.size() && name[j] == ']') {
-                int idx = std::stoi(name.substr(i + 1, j - i - 1));
+                // Lowering keeps every index below INT_MAX, so the
+                // run length idx + 1 fits int.
+                int idx = 0;
+                if (!parseDecimal(name.substr(i + 1, j - i - 1), &idx,
+                                  std::numeric_limits<int>::max() - 1)) {
+                    throw InternalError("variable index out of range in '" +
+                                        name + "'");
+                }
                 runLen = std::max(runLen, idx + 1);
             }
         }

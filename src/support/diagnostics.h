@@ -1,7 +1,7 @@
 /**
  * @file
  * Diagnostics support: source locations and structured error reporting
- * shared by the MiniC frontend, the IR parser, and the IDL compiler.
+ * shared by the MiniC frontend and the IDL compiler.
  */
 #ifndef SUPPORT_DIAGNOSTICS_H
 #define SUPPORT_DIAGNOSTICS_H

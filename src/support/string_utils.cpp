@@ -21,20 +21,6 @@ splitString(const std::string &s, char sep)
     return out;
 }
 
-bool
-startsWith(const std::string &s, const std::string &prefix)
-{
-    return s.size() >= prefix.size() &&
-           s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-endsWith(const std::string &s, const std::string &suffix)
-{
-    return s.size() >= suffix.size() &&
-           s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 std::string
 trimString(const std::string &s)
 {

@@ -14,12 +14,6 @@ namespace repro {
 /** Split @p s on @p sep, keeping empty fields. */
 std::vector<std::string> splitString(const std::string &s, char sep);
 
-/** True if @p s starts with @p prefix. */
-bool startsWith(const std::string &s, const std::string &prefix);
-
-/** True if @p s ends with @p suffix. */
-bool endsWith(const std::string &s, const std::string &suffix);
-
 /** Strip leading and trailing whitespace. */
 std::string trimString(const std::string &s);
 

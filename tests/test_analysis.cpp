@@ -2,37 +2,59 @@
 
 #include "analysis/function_analyses.h"
 #include "frontend/compiler.h"
-#include "ir/parser.h"
+#include "ir/irbuilder.h"
 
 using namespace repro;
 using namespace repro::analysis;
 
 namespace {
 
-/** Diamond CFG: entry -> (then|else) -> merge -> exit. */
-const char *kDiamond = R"(
-define i32 @f(i1 %c, i32 %a, i32 %b) {
-entry:
-  br i1 %c, label %then, label %else
-then:
-  %x = add i32 %a, 1
-  br label %merge
-else:
-  %y = add i32 %b, 2
-  br label %merge
-merge:
-  %p = phi i32 [ %x, %then ], [ %y, %else ]
-  ret i32 %p
+/**
+ * Diamond CFG: entry -> (then|else) -> merge -> exit.
+ *
+ *   define i32 @f(i1 %c, i32 %a, i32 %b)
+ *   entry: br %c, %then, %else
+ *   then:  %x = add i32 %a, 1; br %merge
+ *   else:  %y = add i32 %b, 2; br %merge
+ *   merge: %p = phi i32 [%x, %then], [%y, %else]; ret %p
+ */
+ir::Function *
+buildDiamond(ir::Module &m)
+{
+    ir::TypeContext &t = m.types();
+    ir::Function *f =
+        m.createFunction("f", t.i32Ty(), {t.i1Ty(), t.i32Ty(), t.i32Ty()});
+    f->arg(0)->setName("c");
+    f->arg(1)->setName("a");
+    f->arg(2)->setName("b");
+    ir::BasicBlock *entry = f->createBlock("entry");
+    ir::BasicBlock *then_bb = f->createBlock("then");
+    ir::BasicBlock *else_bb = f->createBlock("else");
+    ir::BasicBlock *merge = f->createBlock("merge");
+
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.condBr(f->arg(0), then_bb, else_bb);
+    b.setInsertPoint(then_bb);
+    ir::Instruction *x = b.add(f->arg(1), b.i32(1), "x");
+    b.br(merge);
+    b.setInsertPoint(else_bb);
+    ir::Instruction *y = b.add(f->arg(2), b.i32(2), "y");
+    b.br(merge);
+    b.setInsertPoint(merge);
+    ir::Instruction *p = b.phi(t.i32Ty(), "p");
+    p->addIncoming(x, then_bb);
+    p->addIncoming(y, else_bb);
+    b.ret(p);
+    return f;
 }
-)";
 
 } // namespace
 
 TEST(Dominators, DiamondBlocks)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     DomTree dom(f, false);
     ir::BasicBlock *entry = f->blockByName("entry");
     ir::BasicBlock *then_bb = f->blockByName("then");
@@ -54,8 +76,7 @@ TEST(Dominators, DiamondBlocks)
 TEST(Dominators, PostDominance)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     DomTree pdom(f, true);
     ir::BasicBlock *entry = f->blockByName("entry");
     ir::BasicBlock *then_bb = f->blockByName("then");
@@ -69,8 +90,7 @@ TEST(Dominators, PostDominance)
 TEST(Dominators, InstructionLevelSameBlock)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     DomTree dom(f, false);
     ir::BasicBlock *then_bb = f->blockByName("then");
     const ir::Instruction *first = then_bb->front();
@@ -83,8 +103,7 @@ TEST(Dominators, InstructionLevelSameBlock)
 TEST(ControlDependence, BranchGovernsSides)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     FunctionAnalyses fa(f);
     const ir::Instruction *branch =
         f->blockByName("entry")->terminator();
@@ -131,8 +150,7 @@ TEST(Loops, NestDepthAndStructure)
 TEST(InstCfg, PathQueriesRespectRemovedNodes)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     InstCFG cfg(f);
     const ir::Instruction *entry_term =
         f->blockByName("entry")->terminator();
@@ -154,8 +172,7 @@ TEST(InstCfg, PathQueriesRespectRemovedNodes)
 TEST(DataFlow, TransitiveReachability)
 {
     ir::Module m;
-    ir::parseModuleOrDie(kDiamond, m);
-    ir::Function *f = m.functionByName("f");
+    ir::Function *f = buildDiamond(m);
     const ir::Value *a = f->arg(1);
     const ir::Instruction *ret =
         f->blockByName("merge")->terminator();
@@ -167,20 +184,23 @@ TEST(DataFlow, TransitiveReachability)
 
 TEST(BasePointer, WalksGepChains)
 {
+    // @g = global [4 x [4 x double]]; f(i, j) loads g[i][j] through
+    // two chained GEPs: %row = gep @g, 0, %i; %elem = gep %row, 0, %j.
     ir::Module m;
-    ir::parseModuleOrDie(R"(
-@g = global [4 x [4 x double]]
+    ir::TypeContext &t = m.types();
+    ir::Type *row_ty = t.arrayOf(t.doubleTy(), 4);
+    ir::GlobalVariable *g = m.createGlobal("g", t.arrayOf(row_ty, 4));
+    ir::Function *f =
+        m.createFunction("f", t.doubleTy(), {t.i64Ty(), t.i64Ty()});
+    f->arg(0)->setName("i");
+    f->arg(1)->setName("j");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(f->createBlock("entry"));
+    ir::Instruction *row = b.gep(g, {b.i64(0), f->arg(0)}, "row");
+    ir::Instruction *elem = b.gep(row, {b.i64(0), f->arg(1)}, "elem");
+    b.ret(b.load(elem, "v"));
+    ASSERT_EQ(elem->operand(0), row);
 
-define double @f(i64 %i, i64 %j) {
-entry:
-  %row = getelementptr [4 x [4 x double]], [4 x [4 x double]]* @g, i64 0, i64 %i
-  %elem = getelementptr [4 x double], [4 x double]* %row, i64 0, i64 %j
-  %v = load double, double* %elem
-  ret double %v
-}
-)",
-                         m);
-    ir::Function *f = m.functionByName("f");
     const ir::Instruction *load = nullptr;
     for (const auto &inst : f->entry()->insts()) {
         if (inst->is(ir::Opcode::Load))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include "benchmarks/suite.h"
 #include "benchmarks/coverage.h"
+#include "driver/driver.h"
 #include "frontend/compiler.h"
 #include "idioms/library.h"
 #include "interp/builtins.h"
@@ -46,8 +47,7 @@ TEST_P(SuiteTest, DetectsExpectedIdioms)
     const BenchmarkProgram &b = benchmarks::benchmarkByName(GetParam());
     ir::Module module;
     frontend::compileMiniCOrDie(b.source, module);
-    idioms::IdiomDetector det;
-    auto matches = det.detectModule(module);
+    auto matches = driver::MatchingDriver{}.matchModule(module).allMatches();
     Counts c = countMatches(matches);
     EXPECT_EQ(c.sr, b.expected.scalarReductions) << "scalar reductions";
     EXPECT_EQ(c.h, b.expected.histograms) << "histograms";
@@ -69,8 +69,8 @@ TEST_P(SuiteTest, TransformPreservesSemantics)
         frontend::compileMiniCOrDie(b.source, module);
         std::vector<transform::Replacement> reps;
         if (transformed) {
-            idioms::IdiomDetector det;
-            auto matches = det.detectModule(module);
+            auto matches =
+                driver::MatchingDriver{}.matchModule(module).allMatches();
             transform::Transformer tr(module);
             reps = tr.applyAll(matches);
             auto problems = ir::verifyModule(module);
@@ -131,9 +131,9 @@ TEST(SuiteTotals, SixtyIdioms)
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
-        idioms::IdiomDetector det;
-        Counts c = countMatches(det.detectModule(module));
-        effort += det.stats();
+        driver::MatchingDriver drv;
+        Counts c = countMatches(drv.matchModule(module).allMatches());
+        effort += drv.totals();
         total.sr += c.sr;
         total.h += c.h;
         total.st += c.st;

@@ -112,8 +112,9 @@ TEST(Driver, CachedAnalysesMatchPerFunctionSolving)
         for (const auto &f : module.functions()) {
             if (f->isDeclaration())
                 continue;
+            analysis::FunctionAnalyses fa(f.get());
             idioms::IdiomDetector detector;
-            auto matches = detector.detect(f.get());
+            auto matches = detector.detect(f.get(), fa);
             standalone.insert(standalone.end(), matches.begin(),
                               matches.end());
         }

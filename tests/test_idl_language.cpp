@@ -4,7 +4,8 @@
 #include "idl/lower.h"
 #include "idl/parser.h"
 #include "idioms/library.h"
-#include "ir/parser.h"
+#include "ir/irbuilder.h"
+#include "solver/compiled.h"
 #include "solver/solver.h"
 
 using namespace repro;
@@ -123,6 +124,23 @@ expectOutOfRange(const std::string &source, int line, int column)
     EXPECT_EQ(d.loc.column, column);
 }
 
+/**
+ * Lower idiom T of @p source and compile it for the solver; expect a
+ * lowering error whose message contains @p what.
+ */
+void
+expectLoweringError(const std::string &source, const std::string &what)
+{
+    auto prog = idl::parseIdlOrDie(source);
+    try {
+        solver::CompiledProgram compiled(idl::lowerIdiom(*prog, "T"));
+        ADD_FAILURE() << "no lowering error for: " << source;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace
 
 TEST(IdlParser, OutOfRangeParameterDefaultIsDiagnosed)
@@ -168,6 +186,21 @@ TEST(IdlLowering, TemplateParametersAndForAll)
     EXPECT_EQ(s2.find("loop[2]."), std::string::npos);
     EXPECT_NE(s3.find("loop[2]."), std::string::npos);
     EXPECT_NE(s2.find("loop[1]."), std::string::npos);
+}
+
+TEST(IdlLowering, OutOfRangeParameterIndexIsRejected)
+{
+    // Each literal parses; the evaluated index does not fit int.
+    expectLoweringError(
+        "Constraint T (N=99999999999) ( {v[N]} is add instruction ) End",
+        "index 99999999999 of 'v' out of range");
+}
+
+TEST(IdlLowering, OverflowingIndexIsRejected)
+{
+    expectLoweringError("Constraint T (N=9223372036854775807)\n"
+                        "( {v[N+N]} is add instruction ) End",
+                        "integer overflow in v");
 }
 
 TEST(IdlLowering, UnknownIdiomThrows)
@@ -224,28 +257,42 @@ TEST(SeseIdiom, MatchesIfRegion)
 {
     // SESE (Figure 9) finds the single-entry single-exit region
     // spanned by a diamond.
-    const char *text = R"(
-define i32 @f(i1 %c, i32 %a) {
-entry:
-  br label %head
-head:
-  br i1 %c, label %then, label %else
-then:
-  %x = add i32 %a, 1
-  br label %merge
-else:
-  %y = add i32 %a, 2
-  br label %merge
-merge:
-  %p = phi i32 [ %x, %then ], [ %y, %else ]
-  br label %tail
-tail:
-  ret i32 %p
-}
-)";
+    //   entry: br %head
+    //   head:  br %c, %then, %else
+    //   then:  %x = add i32 %a, 1; br %merge
+    //   else:  %y = add i32 %a, 2; br %merge
+    //   merge: %p = phi i32 [%x, %then], [%y, %else]; br %tail
+    //   tail:  ret %p
     ir::Module m;
-    ir::parseModuleOrDie(text, m);
-    ir::Function *f = m.functionByName("f");
+    ir::TypeContext &t = m.types();
+    ir::Function *f = m.createFunction("f", t.i32Ty(), {t.i1Ty(), t.i32Ty()});
+    f->arg(0)->setName("c");
+    f->arg(1)->setName("a");
+    ir::BasicBlock *entry = f->createBlock("entry");
+    ir::BasicBlock *head = f->createBlock("head");
+    ir::BasicBlock *then_bb = f->createBlock("then");
+    ir::BasicBlock *else_bb = f->createBlock("else");
+    ir::BasicBlock *merge = f->createBlock("merge");
+    ir::BasicBlock *tail = f->createBlock("tail");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.br(head);
+    b.setInsertPoint(head);
+    b.condBr(f->arg(0), then_bb, else_bb);
+    b.setInsertPoint(then_bb);
+    ir::Instruction *x = b.add(f->arg(1), b.i32(1), "x");
+    b.br(merge);
+    b.setInsertPoint(else_bb);
+    ir::Instruction *y = b.add(f->arg(1), b.i32(2), "y");
+    b.br(merge);
+    b.setInsertPoint(merge);
+    ir::Instruction *p = b.phi(t.i32Ty(), "p");
+    p->addIncoming(x, then_bb);
+    p->addIncoming(y, else_bb);
+    b.br(tail);
+    b.setInsertPoint(tail);
+    b.ret(p);
+
     auto sols = solveIdl(f, "", "SESE");
     // The branch in %head / the branch in %merge span a SESE region.
     bool found = false;

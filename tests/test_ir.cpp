@@ -1,8 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "ir/irbuilder.h"
-#include "ir/parser.h"
-#include "ir/printer.h"
 #include "ir/verifier.h"
 
 using namespace repro;
@@ -26,9 +24,6 @@ TEST(Types, SizeAndPrinting)
     EXPECT_EQ(arr->sizeInBytes(), 48u);
     EXPECT_EQ(arr->str(), "[2 x [3 x double]]");
     EXPECT_EQ(ctx.pointerTo(arr)->str(), "[2 x [3 x double]]*");
-    EXPECT_EQ(ctx.parse("[2 x [3 x double]]*"), ctx.pointerTo(arr));
-    EXPECT_EQ(ctx.parse("i64"), ctx.i64Ty());
-    EXPECT_EQ(ctx.parse("garbage"), nullptr);
 }
 
 TEST(Values, UseListsAndRAUW)
@@ -67,84 +62,6 @@ TEST(Values, EraseRequiresNoUsers)
     EXPECT_EQ(f->entry()->size(), 1u);
 }
 
-TEST(Parser, RoundTripPreservesStructure)
-{
-    const char *text = R"(
-define double @dot(double* %a, double* %b, i64 %n) {
-entry:
-  br label %header
-header:
-  %i = phi i64 [ 0, %entry ], [ %inext, %body ]
-  %acc = phi double [ 0.0, %entry ], [ %acc2, %body ]
-  %c = icmp slt i64 %i, %n
-  br i1 %c, label %body, label %exit
-body:
-  %pa = getelementptr double, double* %a, i64 %i
-  %va = load double, double* %pa
-  %pb = getelementptr double, double* %b, i64 %i
-  %vb = load double, double* %pb
-  %prod = fmul double %va, %vb
-  %acc2 = fadd double %acc, %prod
-  %inext = add i64 %i, 1
-  br label %header
-exit:
-  ret double %acc
-}
-)";
-    Module m1;
-    parseModuleOrDie(text, m1);
-    EXPECT_TRUE(verifyModule(m1).empty());
-    std::string printed1 = printModule(m1);
-
-    // Parse the printer's output again: must be stable.
-    Module m2;
-    parseModuleOrDie(printed1, m2);
-    EXPECT_TRUE(verifyModule(m2).empty());
-    EXPECT_EQ(printed1, printModule(m2));
-
-    Function *dot = m1.functionByName("dot");
-    ASSERT_NE(dot, nullptr);
-    EXPECT_EQ(dot->blocks().size(), 4u);
-    EXPECT_EQ(dot->instructionCount(), 14u);
-}
-
-TEST(Parser, GlobalsAndCalls)
-{
-    const char *text = R"(
-@table = global [4 x i32]
-
-declare double @sqrt(double)
-
-define double @f(i64 %i) {
-entry:
-  %p = getelementptr [4 x i32], [4 x i32]* @table, i64 0, i64 %i
-  %v = load i32, i32* %p
-  %w = sitofp i32 %v to double
-  %r = call double @sqrt(double %w)
-  ret double %r
-}
-)";
-    Module m;
-    parseModuleOrDie(text, m);
-    EXPECT_TRUE(verifyModule(m).empty());
-    EXPECT_NE(m.globalByName("table"), nullptr);
-    EXPECT_TRUE(m.functionByName("sqrt")->isDeclaration());
-}
-
-TEST(Parser, ReportsUnknownValue)
-{
-    Module m;
-    DiagEngine diags;
-    EXPECT_FALSE(parseModule(R"(
-define i32 @f() {
-entry:
-  ret i32 %nope
-}
-)",
-                             m, diags));
-    EXPECT_TRUE(diags.hasErrors());
-}
-
 TEST(Verifier, CatchesBrokenIR)
 {
     Module module;
@@ -154,9 +71,9 @@ TEST(Verifier, CatchesBrokenIR)
     b.setInsertPoint(f->createBlock("entry"));
     // Return type mismatch: returning a double from an i32 function.
     b.ret(f->arg(0));
-    auto problems = verifyFunction(f);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("ret type mismatch"),
+    VerifierReport report = verifyFunctionDetailed(f);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.firstError().message.find("ret type mismatch"),
               std::string::npos);
 }
 
@@ -166,7 +83,8 @@ TEST(Verifier, CatchesMissingTerminator)
     Function *f = module.createFunction("f", module.types().voidTy(),
                                         {});
     f->createBlock("entry");
-    auto problems = verifyFunction(f);
-    ASSERT_FALSE(problems.empty());
-    EXPECT_NE(problems[0].find("no terminator"), std::string::npos);
+    VerifierReport report = verifyFunctionDetailed(f);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.firstError().message.find("no terminator"),
+              std::string::npos);
 }

@@ -243,8 +243,8 @@ TEST(RewriteEngine, StaleAccumulatorAcrossDisjointMatches)
         frontend::compileMiniCOrDie(kChainSrc, module);
         std::vector<transform::Replacement> reps;
         if (transformed) {
-            idioms::IdiomDetector det;
-            auto matches = det.detectModule(module);
+            auto matches =
+                driver::MatchingDriver{}.matchModule(module).allMatches();
             EXPECT_EQ(matches.size(), 2u);
             transform::Transformer tr(module);
             reps = tr.applyAll(matches);
@@ -274,8 +274,7 @@ TEST(RewriteEngine, ValidationRejectsPlansAgainstMutatedIR)
 {
     ir::Module module;
     frontend::compileMiniCOrDie(kHistoSrc, module);
-    idioms::IdiomDetector det;
-    auto matches = det.detectModule(module);
+    auto matches = driver::MatchingDriver{}.matchModule(module).allMatches();
     ASSERT_GE(matches.size(), 1u);
 
     transform::RewriteEngine engine(module);
@@ -293,8 +292,8 @@ TEST(RewriteEngine, ValidationRejectsPlansAgainstMutatedIR)
         EXPECT_NE(engine.validate(plan), "");
     // A fresh detection on the mutated module finds nothing left to
     // plan: the loop has already been rewritten away.
-    idioms::IdiomDetector redet;
-    auto reps = engine.applyAll(redet.detectModule(module));
+    auto reps = engine.applyAll(
+        driver::MatchingDriver{}.matchModule(module).allMatches());
     EXPECT_TRUE(reps.empty());
     expectValid(module);
 }
@@ -307,8 +306,7 @@ TEST(RewriteEngine, CommitFailureRollsTheFunctionBack)
 {
     ir::Module module;
     frontend::compileMiniCOrDie(kChainSrc, module);
-    idioms::IdiomDetector det;
-    auto matches = det.detectModule(module);
+    auto matches = driver::MatchingDriver{}.matchModule(module).allMatches();
     ASSERT_EQ(matches.size(), 2u);
 
     transform::RewriteEngine engine(module);
@@ -358,8 +356,7 @@ TEST(RewriteEngine, RollbackKeepsSharedCalleeAliveForOtherFunctions)
     )";
     ir::Module module;
     frontend::compileMiniCOrDie(src, module);
-    idioms::IdiomDetector det;
-    auto matches = det.detectModule(module);
+    auto matches = driver::MatchingDriver{}.matchModule(module).allMatches();
     ASSERT_EQ(matches.size(), 2u);
 
     transform::RewriteEngine engine(module);
@@ -402,8 +399,8 @@ TEST(RewriteEngine, ApplyAllParallelMatchesSerial)
     for (size_t m = 0; m < sources.size(); ++m) {
         ir::Module reference;
         frontend::compileMiniCOrDie(sources[m], reference);
-        idioms::IdiomDetector det;
-        auto matches = det.detectModule(reference);
+        auto matches =
+            driver::MatchingDriver{}.matchModule(reference).allMatches();
         transform::Transformer tr(reference);
         auto expected = tr.applyAll(matches);
 

@@ -152,8 +152,9 @@ TEST(MatchCache, CaptureReanchorRoundTrip)
     ir::Function *fa = a.functionByName("reduce");
     ir::Function *fb = b.functionByName("reduce");
 
+    analysis::FunctionAnalyses analyses(fa);
     idioms::IdiomDetector detector;
-    auto matches = detector.detect(fa);
+    auto matches = detector.detect(fa, analyses);
     ASSERT_FALSE(matches.empty());
 
     std::vector<driver::PortableMatch> portable;

@@ -36,8 +36,8 @@ struct Pipeline
         frontend::compileMiniCOrDie(src, *module);
         if (!do_transform)
             return;
-        idioms::IdiomDetector det;
-        auto found = det.detectModule(*module);
+        auto found =
+            driver::MatchingDriver{}.matchModule(*module).allMatches();
         matches = static_cast<int>(found.size());
         transform::Transformer tr(*module);
         replacements = tr.applyAll(found);
@@ -484,8 +484,8 @@ TEST(Transform, Table1SuiteGolden)
         const auto &b = suite[p];
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
-        idioms::IdiomDetector det;
-        auto matches = det.detectModule(module);
+        auto matches =
+            driver::MatchingDriver{}.matchModule(module).allMatches();
         for (const auto &m : matches) {
             switch (m.cls) {
               case idioms::IdiomClass::ScalarReduction: ++sr; break;

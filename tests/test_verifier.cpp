@@ -299,7 +299,7 @@ TEST(Verifier, UnreachableBlockIsWarningOnly)
     EXPECT_TRUE(report.hasRule("cfg-unreachable")) << report.str();
     EXPECT_EQ(report.warningCount(), 1u) << report.str();
     // Warnings never surface through the legacy string API.
-    EXPECT_TRUE(verifyFunction(f).empty());
+    EXPECT_TRUE(verifyModule(m).empty());
 }
 
 // The seed verifier checked nothing about call sites — a rewrite that
