@@ -87,7 +87,7 @@ main(int argc, char **argv)
     for (int n : sizes) {
         driver::DriverOptions opts;
         opts.applyTransforms = true;
-        opts.backendPolicy = transform::BackendPolicy::CostModel;
+        opts.backends.policy = transform::BackendPolicy::CostModel;
         driver::MatchingDriver drv(opts);
 
         ir::Module module;

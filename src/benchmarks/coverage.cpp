@@ -7,8 +7,6 @@
 
 namespace repro::benchmarks {
 
-using analysis::Loop;
-
 double
 runtimeCoverage(const std::vector<idioms::IdiomMatch> &matches,
                 const interp::Profile &profile)
@@ -16,26 +14,19 @@ runtimeCoverage(const std::vector<idioms::IdiomMatch> &matches,
     if (profile.totalSteps == 0)
         return 0.0;
 
-    // Per-function loop info caches.
-    std::map<ir::Function *, std::unique_ptr<analysis::DomTree>> doms;
-    std::map<ir::Function *, std::unique_ptr<analysis::LoopInfo>> loops;
-
+    std::map<ir::Function *, analysis::FunctionAnalyses> analyses;
     std::set<const ir::Instruction *> claimed;
     for (const auto &match : matches) {
         ir::Function *func = match.function;
-        if (!loops.count(func)) {
-            doms[func] =
-                std::make_unique<analysis::DomTree>(func, false);
-            loops[func] = std::make_unique<analysis::LoopInfo>(
-                func, *doms[func]);
-        }
+        const analysis::LoopInfo &loops =
+            analyses.try_emplace(func, func).first->second.loopInfo();
         for (const auto &var : idioms::idiomClaimVars(match.idiom)) {
             const ir::Value *cmp = match.solution.lookup(var);
             if (!cmp || !cmp->isInstruction())
                 continue;
             const auto *inst =
                 static_cast<const ir::Instruction *>(cmp);
-            for (const auto &loop : loops[func]->loops()) {
+            for (const auto &loop : loops.loops()) {
                 if (loop->header != inst->parent())
                     continue;
                 for (ir::BasicBlock *bb : loop->blocks) {

@@ -5,9 +5,7 @@
 #include <cstring>
 #include <set>
 
-#include "analysis/dominators.h"
 #include "analysis/function_analyses.h"
-#include "analysis/loops.h"
 #include "frontend/compiler.h"
 #include "interp/builtins.h"
 #include "transform/binder.h"
@@ -75,9 +73,8 @@ MatchingDriver::matchModule(ir::Module &module)
             storeSolveResult(func, fr);
     }
     if (opts_.applyTransforms) {
-        transform::Transformer transformer(
-            module, opts_.verify,
-            {opts_.backendPolicy, opts_.forcedBackends});
+        transform::Transformer transformer(module, opts_.verify,
+                                           opts_.backends);
         report.replacements = transformer.applyAll(report.allMatches());
     }
     return report;
@@ -153,9 +150,8 @@ compareEngines(const ir::Module &module, const ExecutionSnapshot &ref,
     for (const auto &func : module.functions()) {
         if (func->isDeclaration())
             continue;
-        analysis::DomTree dom(func.get(), false);
-        analysis::LoopInfo loops(func.get(), dom);
-        for (const auto &loop : loops.loops()) {
+        analysis::FunctionAnalyses fa(func.get());
+        for (const auto &loop : fa.loopInfo().loops()) {
             std::set<const ir::Instruction *> body;
             for (ir::BasicBlock *bb : loop->blocks) {
                 for (const auto &inst : bb->insts())

@@ -21,7 +21,6 @@
 #define DRIVER_DRIVER_H
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -71,15 +70,12 @@ struct DriverOptions
      * all legal (API, platform) lowerings by the cost model
      * (runtime/cost.h) against the call site's static workload
      * estimate (analysis/workload.h) and commits the cheapest.
+     * `backends.forced` pins the target of every replacement of a
+     * kind ("gemm", "spmv", ...), overriding the policy — the
+     * differential sweep's way of driving each legal alternative
+     * through the pipeline.
      */
-    transform::BackendPolicy backendPolicy =
-        transform::BackendPolicy::Fixed;
-    /**
-     * Force the backend of every replacement of a given kind ("gemm",
-     * "spmv", ...), overriding the policy — the differential sweep's
-     * way of driving each legal alternative through the pipeline.
-     */
-    std::map<std::string, runtime::BackendTarget> forcedBackends;
+    transform::BackendConfig backends;
 };
 
 /** Matches and solver effort of one function. */

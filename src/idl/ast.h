@@ -22,6 +22,16 @@
 
 namespace repro::idl {
 
+/**
+ * The largest `collect` bound and the widest `for all` / `for some`
+ * or `{v[a..b]}` range IDL accepts. Each expands eagerly, one copy
+ * per value, so an unbounded value costs time and memory linearly;
+ * the shipped library uses collect bounds of 16 and ranges of at
+ * most N. The parser rejects a larger collect bound, lowering a
+ * wider range.
+ */
+constexpr int kMaxExpansion = 4096;
+
 /** An integer calculation: parameter references, literals, +/-. */
 struct Calc
 {

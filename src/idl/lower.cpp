@@ -72,6 +72,21 @@ checkIndex(int64_t v, const std::string &component)
     }
 }
 
+/** Reject a range lo .. hi (exclusive) of more than kMaxExpansion
+ *  values; @p what names it in the error. */
+void
+checkRangeWidth(int64_t lo, int64_t hi, const std::string &what)
+{
+    // Unsigned subtraction: hi - lo may not fit int64.
+    if (hi > lo && static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) >
+                       static_cast<uint64_t>(kMaxExpansion)) {
+        throw FatalError("IDL lowering: range " + std::to_string(lo) +
+                         " .. " + std::to_string(hi) + " of " + what +
+                         " is wider than " +
+                         std::to_string(kMaxExpansion));
+    }
+}
+
 /** Flatten a VarRef into a variable name string under @p env. */
 std::string
 flattenVar(const VarRef &ref, const Env &env)
@@ -121,6 +136,7 @@ flattenListEntry(const VarRef &ref, const Env &env,
         throw FatalError("IDL lowering: range bounds cannot use a "
                          "collect index");
     }
+    checkRangeWidth(lo, hi, "'" + comp.name + "'");
     if (lo < hi) {
         checkIndex(lo, comp.name);
         checkIndex(hi - 1, comp.name);
@@ -285,6 +301,8 @@ class Lowerer
                 throw FatalError(
                     "IDL lowering: collect index in range bounds");
             }
+            checkRangeWidth(lo, hi,
+                            "'" + c.indexName + "' at " + c.loc.str());
             auto node = std::make_unique<Node>();
             node->kind = c.kind == Constraint::Kind::ForAll
                              ? Node::Kind::And

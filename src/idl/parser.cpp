@@ -3,6 +3,7 @@
 #include <cctype>
 #include <climits>
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "support/string_utils.h"
@@ -328,15 +329,16 @@ class Parser
         throw FatalError("IDL parse error");
     }
 
-    /** Consume a Number token that fits a T. */
+    /** Consume a Number token that fits a T and is at most @p max. */
     template <typename T>
     T
-    expectNumber(const std::string &what)
+    expectNumber(const std::string &what,
+                 T max = std::numeric_limits<T>::max())
     {
         T value = 0;
         if (peek().kind != IdlTok::Number)
             fail("expected " + what);
-        if (!parseDecimal(peek().text, &value))
+        if (!parseDecimal(peek().text, &value) || value > max)
             fail(what + " out of range");
         next();
         return value;
@@ -583,7 +585,8 @@ class Parser
                 fail("expected index name after 'collect'");
             node->indexName = next().text;
             if (peek().kind == IdlTok::Number)
-                node->collectMax = expectNumber<int>("collect bound");
+                node->collectMax =
+                    expectNumber<int>("collect bound", kMaxExpansion);
             node->children.push_back(parseConstraint());
             return node;
         }

@@ -24,7 +24,6 @@ sessionDriverOptions(const ServiceOptions &opts,
     driver::DriverOptions d;
     d.limits = opts.limits;
     d.cache = std::move(cache);
-    d.backendPolicy = opts.backendPolicy;
     return d;
 }
 
@@ -98,17 +97,20 @@ MatchService::submit(const std::string &moduleName,
     outcome.cacheMisses = report.cacheMisses;
     // Backend selection for MATCH lines: plan every match (replayed
     // or fresh — the cache stores matches only, so selection always
-    // reflects the CURRENT policy) against all legal targets and
-    // rank by modeled cost. Planning is pure (no IR mutation, no
+    // reflects the CURRENT policy); each plan's record carries the
+    // backend the transform stage would commit and the ranked
+    // alternatives it rejects. Planning is pure (no IR mutation, no
     // kernel extraction); a match the translation schemes cannot
     // express simply carries no backend keys.
-    std::map<size_t, transform::BackendDecision> decisionByIndex;
+    std::map<size_t, transform::Replacement> decisionByIndex;
     if (opts_.backendPolicy == transform::BackendPolicy::CostModel) {
         transform::BackendConfig config;
         config.policy = transform::BackendPolicy::CostModel;
-        for (auto &d : transform::planBackendDecisions(
-                 *module, report.allMatches(), config))
-            decisionByIndex.emplace(d.matchIndex, std::move(d));
+        for (auto &plan :
+             transform::RewriteEngine(*module, ir::VerifyMode::Off, config)
+                 .planAll(report.allMatches()))
+            decisionByIndex.emplace(plan.matchIndex,
+                                    std::move(plan.record));
     }
 
     size_t matchIndex = 0;
@@ -127,8 +129,8 @@ MatchService::submit(const std::string &moduleName,
             auto it = decisionByIndex.find(matchIndex++);
             if (it != decisionByIndex.end()) {
                 mo.hasBackend = true;
-                mo.backend = runtime::backendToken(it->second.chosen);
-                mo.predictedMs = it->second.chosen.predictedMs;
+                mo.backend = runtime::backendToken(it->second.target);
+                mo.predictedMs = it->second.target.predictedMs;
                 for (const auto &alt : it->second.rejected)
                     mo.rejected.emplace_back(
                         runtime::backendToken(alt), alt.predictedMs);

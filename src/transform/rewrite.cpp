@@ -26,7 +26,8 @@ using solver::Solution;
 // produce and the order functions are appended to the module.
 
 std::optional<RewritePlan>
-RewriteEngine::planSpmv(const idioms::IdiomMatch &match)
+RewriteEngine::planSpmv(const idioms::IdiomMatch &match,
+                        analysis::FunctionAnalyses &fa)
 {
     const Solution &sol = match.solution;
     LoopShape loop = loopFromSolution(sol, "");
@@ -51,9 +52,7 @@ RewriteEngine::planSpmv(const idioms::IdiomMatch &match)
         return std::nullopt;
     }
 
-    analysis::DomTree dom(match.function, false);
-    analysis::LoopInfo loops(match.function, dom);
-    const analysis::Loop *natural = findLoop(loops, loop);
+    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
     if (!natural || !loopIsSelfContained(*natural, nullptr))
         return std::nullopt;
     if (!loopEffectsAreCovered(
@@ -90,7 +89,8 @@ RewriteEngine::planSpmv(const idioms::IdiomMatch &match)
 }
 
 std::optional<RewritePlan>
-RewriteEngine::planGemm(const idioms::IdiomMatch &match)
+RewriteEngine::planGemm(const idioms::IdiomMatch &match,
+                        analysis::FunctionAnalyses &fa)
 {
     const Solution &sol = match.solution;
     LoopShape loop0 = loopFromSolution(sol, "loop[0].");
@@ -273,9 +273,8 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match)
         }
     }
 
-    analysis::DomTree dom(match.function, false);
-    analysis::LoopInfo loops(match.function, dom);
-    const analysis::Loop *natural = findLoop(loops, loop0);
+    const analysis::DomTree &dom = fa.domTree();
+    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop0);
     if (!natural || !loopIsSelfContained(*natural, nullptr))
         return std::nullopt;
     if (!loopEffectsAreCovered(*natural, allowed_stores, false))
@@ -335,7 +334,8 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match)
 }
 
 std::optional<RewritePlan>
-RewriteEngine::planReduction(const idioms::IdiomMatch &match)
+RewriteEngine::planReduction(const idioms::IdiomMatch &match,
+                             analysis::FunctionAnalyses &fa)
 {
     const Solution &sol = match.solution;
     LoopShape loop = loopFromSolution(sol, "");
@@ -358,9 +358,8 @@ RewriteEngine::planReduction(const idioms::IdiomMatch &match)
         bases.push_back(base);
     }
 
-    analysis::DomTree dom(match.function, false);
-    analysis::LoopInfo loops(match.function, dom);
-    const analysis::Loop *natural = findLoop(loops, loop);
+    const analysis::DomTree &dom = fa.domTree();
+    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
     if (!natural || !loopIsSelfContained(*natural, old_value))
         return std::nullopt;
     if (!loopEffectsAreCovered(*natural, {}, true))
@@ -426,7 +425,8 @@ RewriteEngine::planReduction(const idioms::IdiomMatch &match)
 }
 
 std::optional<RewritePlan>
-RewriteEngine::planHistogram(const idioms::IdiomMatch &match)
+RewriteEngine::planHistogram(const idioms::IdiomMatch &match,
+                             analysis::FunctionAnalyses &fa)
 {
     const Solution &sol = match.solution;
     LoopShape loop = loopFromSolution(sol, "");
@@ -450,9 +450,8 @@ RewriteEngine::planHistogram(const idioms::IdiomMatch &match)
         bases.push_back(base);
     }
 
-    analysis::DomTree dom(match.function, false);
-    analysis::LoopInfo loops(match.function, dom);
-    const analysis::Loop *natural = findLoop(loops, loop);
+    const analysis::DomTree &dom = fa.domTree();
+    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
     if (!natural || !loopIsSelfContained(*natural, nullptr))
         return std::nullopt;
     if (!loopEffectsAreCovered(*natural, {sol.lookup("store_instr")},
@@ -535,7 +534,8 @@ RewriteEngine::planHistogram(const idioms::IdiomMatch &match)
 }
 
 std::optional<RewritePlan>
-RewriteEngine::planStencil(const idioms::IdiomMatch &match, int dims)
+RewriteEngine::planStencil(const idioms::IdiomMatch &match,
+                           analysis::FunctionAnalyses &fa, int dims)
 {
     const Solution &sol = match.solution;
     LoopShape outer =
@@ -602,9 +602,8 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match, int dims)
         }
     }
 
-    analysis::DomTree dom(match.function, false);
-    analysis::LoopInfo loops(match.function, dom);
-    const analysis::Loop *natural = findLoop(loops, outer);
+    const analysis::DomTree &dom = fa.domTree();
+    const analysis::Loop *natural = findLoop(fa.loopInfo(), outer);
     if (!natural || !loopIsSelfContained(*natural, nullptr))
         return std::nullopt;
     if (!loopEffectsAreCovered(
@@ -697,148 +696,87 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match, int dims)
 // ------------------------------------------------------------- pipeline
 
 std::optional<RewritePlan>
-RewriteEngine::plan(const idioms::IdiomMatch &match)
+RewriteEngine::plan(const idioms::IdiomMatch &match,
+                    analysis::FunctionAnalyses &fa)
 {
     std::optional<RewritePlan> plan;
     if (match.idiom == "SPMV")
-        plan = planSpmv(match);
+        plan = planSpmv(match, fa);
     else if (match.idiom == "GEMM")
-        plan = planGemm(match);
+        plan = planGemm(match, fa);
     else if (match.idiom == "Reduction")
-        plan = planReduction(match);
+        plan = planReduction(match, fa);
     else if (match.idiom == "Histogram")
-        plan = planHistogram(match);
+        plan = planHistogram(match, fa);
     else if (match.idiom == "Stencil3D")
-        plan = planStencil(match, 3);
+        plan = planStencil(match, fa, 3);
     else if (match.idiom == "Stencil1D")
-        plan = planStencil(match, 1);
-    if (plan) {
-        ++stats_.planned;
-        plan->cls = match.cls;
-        plan->record.cls = match.cls;
-        plan->target = runtime::fixedTarget(match.cls);
-        plan->record.target = plan->target;
-    } else {
+        plan = planStencil(match, fa, 1);
+    if (!plan) {
         ++stats_.unplannable;
+        return plan;
+    }
+    ++stats_.planned;
+
+    // Backend choice: a forced target, else the policy's.
+    Replacement &record = plan->record;
+    record.cls = match.cls;
+    const runtime::BackendTarget fixed = runtime::fixedTarget(match.cls);
+    record.target = fixed;
+    auto forced = backends_.forced.find(plan->kind);
+    if (forced != backends_.forced.end()) {
+        record.target = forced->second;
+    } else if (backends_.policy == BackendPolicy::CostModel) {
+        // Every legal (API, platform) priced against the static
+        // trip-count workload of the nest the plan bypasses (every
+        // planner has already found that loop); the cheapest wins.
+        const analysis::LoopInfo &loops = fa.loopInfo();
+        std::vector<runtime::BackendTarget> ranked = runtime::rankTargets(
+            match.cls,
+            analysis::estimateWorkload(loops, findLoop(loops, plan->loop)));
+        if (!ranked.empty()) {
+            record.target = ranked.front();
+            record.rejected.assign(ranked.begin() + 1, ranked.end());
+            record.costModeled = true;
+        }
+    }
+    // A library-backed callee names the API entry point the rewritten
+    // IR calls, so a non-default backend gets its own shared
+    // declaration (e.g. __hetero_gemm_f64__cublas_gpu); the binder
+    // gives every such name of a kind the same host handler.
+    // DSL-backed schemes already have a unique per-site callee; the
+    // target rides along in the Replacement record only. The fixed
+    // target keeps the historical name, byte-for-byte.
+    if ((plan->kind == "spmv" || plan->kind == "gemm") &&
+        !runtime::sameBackend(record.target, fixed)) {
+        plan->calleeName += "__" + runtime::backendSymbol(record.target);
+        record.calleeName = plan->calleeName;
     }
     return plan;
-}
-
-analysis::WorkloadDescriptor
-RewriteEngine::workloadOf(const RewritePlan &plan)
-{
-    const BasicBlock *header = plan.loop.header();
-    // Constant-bound trip estimates over a locally built loop forest
-    // (planning already builds these per match, so the extra
-    // construction only happens under CostModel).
-    analysis::DomTree dom(plan.function, false);
-    analysis::LoopInfo loops(plan.function, dom);
-    const analysis::Loop *natural = loops.loopFor(header);
-    while (natural && natural->header != header)
-        natural = natural->parent;
-    if (!natural)
-        return analysis::WorkloadDescriptor();
-    return analysis::estimateWorkload(loops, natural);
-}
-
-std::vector<RewritePlan>
-RewriteEngine::expandTargets(RewritePlan plan)
-{
-    using runtime::BackendTarget;
-
-    auto forcedIt = backends_.forced.find(plan.kind);
-    bool modeled = false;
-    std::vector<BackendTarget> targets;
-    if (forcedIt != backends_.forced.end()) {
-        targets.push_back(forcedIt->second);
-    } else if (backends_.policy == BackendPolicy::Fixed) {
-        targets.push_back(runtime::fixedTarget(plan.cls));
-    } else {
-        targets = runtime::rankTargets(plan.cls, workloadOf(plan));
-        if (targets.empty())
-            targets.push_back(runtime::fixedTarget(plan.cls));
-        else
-            modeled = true;
-    }
-
-    std::vector<RewritePlan> out;
-    out.reserve(targets.size());
-    for (size_t i = 0; i < targets.size(); ++i) {
-        RewritePlan p =
-            i + 1 == targets.size() ? std::move(plan) : plan;
-        p.target = targets[i];
-        p.record.target = targets[i];
-        p.record.costModeled = modeled;
-        // A library-backed callee names the API entry point the
-        // rewritten IR calls, so a non-default backend gets its own
-        // shared declaration (e.g. __hetero_gemm_f64__cublas_gpu);
-        // the binder gives every such name of a kind the same host
-        // handler. DSL-backed schemes already have a unique per-site
-        // callee; the target rides along in the Replacement record
-        // only. The fixed target keeps the historical name,
-        // byte-for-byte.
-        if ((p.kind == "spmv" || p.kind == "gemm") &&
-            !runtime::sameBackend(targets[i],
-                                  runtime::fixedTarget(p.cls))) {
-            p.calleeName +=
-                "__" + runtime::backendSymbol(targets[i]);
-            p.record.calleeName = p.calleeName;
-        }
-        out.push_back(std::move(p));
-    }
-    return out;
 }
 
 std::vector<RewritePlan>
 RewriteEngine::planAll(const std::vector<idioms::IdiomMatch> &matches)
 {
+    // Planning never changes a function's CFG, so one lazily built
+    // bundle per function serves all of its matches.
+    std::map<Function *, analysis::FunctionAnalyses> analyses;
     std::vector<RewritePlan> plans;
     for (size_t i = 0; i < matches.size(); ++i) {
-        auto p = plan(matches[i]);
+        Function *func = matches[i].function;
+        auto p = plan(matches[i],
+                      analyses.try_emplace(func, func).first->second);
         if (p) {
             p->matchIndex = i;
-            for (RewritePlan &t : expandTargets(std::move(*p)))
-                plans.push_back(std::move(t));
+            plans.push_back(std::move(*p));
         }
     }
     return plans;
 }
 
 std::vector<RewritePlan>
-RewriteEngine::selectBackends(std::vector<RewritePlan> plans)
-{
-    std::vector<RewritePlan> out;
-    out.reserve(plans.size());
-    size_t i = 0;
-    while (i < plans.size()) {
-        // Alternatives of one match are adjacent (planAll emits them
-        // together) and share the match's function and matchIndex.
-        size_t j = i + 1;
-        while (j < plans.size() &&
-               plans[j].function == plans[i].function &&
-               plans[j].matchIndex == plans[i].matchIndex)
-            ++j;
-        // expandTargets ranked the group by ascending predicted cost,
-        // so the first entry wins; the losers are recorded on its
-        // Replacement for reporting.
-        RewritePlan winner = std::move(plans[i]);
-        for (size_t k = i + 1; k < j; ++k)
-            winner.record.rejected.push_back(plans[k].target);
-        out.push_back(std::move(winner));
-        i = j;
-    }
-    return out;
-}
-
-std::vector<RewritePlan>
 RewriteEngine::resolveOverlaps(std::vector<RewritePlan> plans)
 {
-    // Backend selection first: collapse each match's per-target
-    // alternatives to the modeled winner, so overlap resolution sees
-    // exactly one plan per match (under BackendPolicy::Fixed every
-    // group has size one and this is the identity).
-    plans = selectBackends(std::move(plans));
-
     if (plans.size() < 2)
         return plans;
 
@@ -1258,28 +1196,6 @@ RewriteEngine::applyAll(const std::vector<idioms::IdiomMatch> &matches)
             ++stats_.failedValidation;
     }
     return commit(std::move(valid));
-}
-
-std::vector<BackendDecision>
-planBackendDecisions(ir::Module &module,
-                     const std::vector<idioms::IdiomMatch> &matches,
-                     const BackendConfig &backends)
-{
-    RewriteEngine engine(module, ir::VerifyMode::Off, backends);
-    std::vector<RewritePlan> plans = engine.planAll(matches);
-    plans = engine.selectBackends(std::move(plans));
-    std::vector<BackendDecision> out;
-    out.reserve(plans.size());
-    for (RewritePlan &p : plans) {
-        BackendDecision d;
-        d.matchIndex = p.matchIndex;
-        d.cls = p.cls;
-        d.chosen = p.target;
-        d.rejected = std::move(p.record.rejected);
-        d.modeled = p.record.costModeled;
-        out.push_back(std::move(d));
-    }
-    return out;
 }
 
 } // namespace repro::transform

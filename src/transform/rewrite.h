@@ -21,7 +21,8 @@
  *     as a pure planner over unmutated IR and emits a RewritePlan:
  *     the loop blocks it claims, the callee declaration to
  *     materialize, kernel slices to extract (classified, not yet
- *     cloned), and the call arguments as recorded values. No IR is
+ *     cloned), and the call arguments as recorded values. The plan's
+ *     backend target is chosen right there (BackendConfig). No IR is
  *     touched.
  *  2. RESOLVE — block claims are intersected across plans;
  *     overlapping claims are resolved most-specific-first (widest
@@ -52,6 +53,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/function_analyses.h"
 #include "idioms/library.h"
 #include "ir/verifier.h"
 #include "transform/extract.h"
@@ -118,41 +120,13 @@ struct RewritePlan
      */
     ir::Value *resultReplaces = nullptr;
 
-    /** Idiom class of the source match (backend legality). */
-    idioms::IdiomClass cls = idioms::IdiomClass::Other;
-    /** The (API, platform, predicted cost) this plan lowers to. */
-    runtime::BackendTarget target;
-
-    /** Replacement record (function pointers filled in at commit). */
+    /**
+     * Replacement record (function pointers filled in at commit),
+     * including the idiom class and the chosen backend target with
+     * its ranked rejected alternatives.
+     */
     Replacement record;
 };
-
-/**
- * Backend choice for one match, without touching the IR: what the
- * selection stage would commit plus the ranked alternatives it would
- * reject. The service layer reports these on MATCH lines; replay from
- * the MatchCache re-derives them against the current policy.
- */
-struct BackendDecision
-{
-    size_t matchIndex = 0;
-    idioms::IdiomClass cls = idioms::IdiomClass::Other;
-    runtime::BackendTarget chosen;
-    std::vector<runtime::BackendTarget> rejected;
-    /** Costs are modeled (CostModel); Fixed reports the default. */
-    bool modeled = false;
-};
-
-/**
- * Run plan → target expansion → selection (no validate, no commit)
- * for @p matches and report the per-match backend decisions. Purely
- * advisory: the module is only read (planning interns constants but
- * performs no structural mutation).
- */
-std::vector<BackendDecision>
-planBackendDecisions(ir::Module &module,
-                     const std::vector<idioms::IdiomMatch> &matches,
-                     const BackendConfig &backends);
 
 /**
  * Plans, validates and commits idiom replacements over one module.
@@ -192,35 +166,36 @@ class RewriteEngine
     }
 
     /**
-     * Plan one match; nullopt when no scheme can express it.
+     * Plan one match against @p fa, the analyses of match.function;
+     * nullopt when no scheme can express it. The plan leaves with its
+     * backend target chosen: a forced target for its kind, else
+     * runtime::fixedTarget under BackendPolicy::Fixed, else the
+     * cheapest of runtime::rankTargets for the workload of the loop
+     * the plan bypasses (the rest become record.rejected).
      * Planning analyzes the match's solution values, so the match
      * must be fresh — produced by detection on the module's current
      * IR. (Stale SOLUTIONS cannot be planned safely; stale PLANS are
      * what validate() exists to catch, by membership checks that
      * never dereference a recorded pointer.)
      */
-    std::optional<RewritePlan> plan(const idioms::IdiomMatch &match);
+    std::optional<RewritePlan> plan(const idioms::IdiomMatch &match,
+                                    analysis::FunctionAnalyses &fa);
 
     /**
-     * Plan every match, in order (assigns matchIndex), then expand
-     * each plan to one clone per candidate backend target: exactly
-     * the fixed target under BackendPolicy::Fixed (or a forced
-     * override), every legal (API, platform) ranked by modeled cost
-     * under CostModel. Clones of one match share its matchIndex; the
-     * selection stage of resolveOverlaps keeps the cheapest.
+     * Plan every match, in order (assigns matchIndex), each with its
+     * backend chosen. Builds one FunctionAnalyses per function it
+     * plans and shares it across that function's matches; the
+     * analyses die with the call, so a later planAll sees the IR as
+     * it is then.
      */
     std::vector<RewritePlan>
     planAll(const std::vector<idioms::IdiomMatch> &matches);
 
     /**
-     * Backend selection, then overlap resolution. Selection groups
-     * same-match alternatives (equal function + matchIndex) emitted
-     * by planAll's target expansion and keeps the lowest predicted
-     * cost, recording the rejected alternatives on the survivor's
-     * Replacement. Overlap resolution then drops plans whose block
-     * claims overlap an accepted plan's, most-specific-first: widest
-     * claim, then idioms::idiomSpecificity, then match order.
-     * Survivors are returned in match order.
+     * Drop plans whose block claims overlap an accepted plan's,
+     * most-specific-first: widest claim, then
+     * idioms::idiomSpecificity, then match order. Survivors are
+     * returned in match order.
      */
     std::vector<RewritePlan>
     resolveOverlaps(std::vector<RewritePlan> plans);
@@ -257,29 +232,20 @@ class RewriteEngine
 
   private:
     std::optional<RewritePlan>
-    planSpmv(const idioms::IdiomMatch &match);
+    planSpmv(const idioms::IdiomMatch &match,
+             analysis::FunctionAnalyses &fa);
     std::optional<RewritePlan>
-    planGemm(const idioms::IdiomMatch &match);
+    planGemm(const idioms::IdiomMatch &match,
+             analysis::FunctionAnalyses &fa);
     std::optional<RewritePlan>
-    planReduction(const idioms::IdiomMatch &match);
+    planReduction(const idioms::IdiomMatch &match,
+                  analysis::FunctionAnalyses &fa);
     std::optional<RewritePlan>
-    planHistogram(const idioms::IdiomMatch &match);
+    planHistogram(const idioms::IdiomMatch &match,
+                  analysis::FunctionAnalyses &fa);
     std::optional<RewritePlan>
-    planStencil(const idioms::IdiomMatch &match, int dims);
-
-    /**
-     * Expand one planned match into its per-target clones (see
-     * planAll) and price them against the call site's workload.
-     */
-    std::vector<RewritePlan> expandTargets(RewritePlan plan);
-
-    /** The static trip-count workload estimate of @p plan's loop
-     *  nest. */
-    analysis::WorkloadDescriptor workloadOf(const RewritePlan &plan);
-
-    /** Same-match cheapest-alternative selection (see resolveOverlaps). */
-    std::vector<RewritePlan>
-    selectBackends(std::vector<RewritePlan> plans);
+    planStencil(const idioms::IdiomMatch &match,
+                analysis::FunctionAnalyses &fa, int dims);
 
     /**
      * Apply one plan. Mutations are appended to @p undo (run in
@@ -297,11 +263,6 @@ class RewriteEngine
                std::map<const ir::Value *, ir::Value *> &remap,
                std::map<ir::Function *, std::set<ir::Function *>>
                    &calleeUsers);
-
-    friend std::vector<BackendDecision>
-    planBackendDecisions(ir::Module &,
-                         const std::vector<idioms::IdiomMatch> &,
-                         const BackendConfig &);
 
     ir::Module &module_;
     ir::VerifyMode verify_ = ir::VerifyMode::Off;

@@ -38,9 +38,9 @@ class RewriteEngine;
  * Fixed (the default) lowers every idiom class to its historical
  * host target (runtime::fixedTarget) — byte-identical to the
  * pre-selection transform stack, so Table 1 counts and all parity
- * tests are unaffected. CostModel plans every legal (API, platform)
- * lowering, prices each against the call site's workload descriptor
- * and commits the cheapest (docs/BACKENDS.md).
+ * tests are unaffected. CostModel prices every legal (API, platform)
+ * lowering against the call site's workload descriptor and commits
+ * the cheapest (docs/BACKENDS.md).
  */
 enum class BackendPolicy
 {
@@ -87,7 +87,7 @@ struct Replacement
     /** The backend this call site was lowered to. */
     runtime::BackendTarget target;
     /**
-     * Legal alternatives the selection stage rejected, ranked by
+     * Legal alternatives the backend choice rejected, ranked by
      * ascending predicted cost. Empty under BackendPolicy::Fixed.
      */
     std::vector<runtime::BackendTarget> rejected;

@@ -11,11 +11,13 @@
  * cache-replay rule that selection always re-runs under the CURRENT
  * policy, differential execution of backend-suffixed entry points
  * (which bind the same host handler as the classic names), and the
- * MATCH-line protocol keys.
+ * MATCH-line protocol keys, pinned for every suite program under
+ * CostModel and checked against what the transform stage commits.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "analysis/workload.h"
 #include "benchmarks/suite.h"
@@ -150,7 +152,7 @@ TEST(BackendPolicy, CostModelFlipsLargeGemmToDgpu)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     ir::Module module;
     auto report = drv.compileAndMatch(gemmSource(512), module);
@@ -175,7 +177,7 @@ TEST(BackendPolicy, CostModelKeepsSmallGemmOnHost)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     ir::Module module;
     auto report = drv.compileAndMatch(gemmSource(8), module);
@@ -193,8 +195,8 @@ TEST(BackendPolicy, ForcedBackendOverridesPolicy)
 {
     driver::DriverOptions opts;
     opts.applyTransforms = true;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
-    opts.forcedBackends["gemm"] =
+    opts.backends.policy = transform::BackendPolicy::CostModel;
+    opts.backends.forced["gemm"] =
         runtime::BackendTarget{runtime::Api::ClBLAS,
                                runtime::Platform::IGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -233,7 +235,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
     driver::DriverOptions opts;
     opts.applyTransforms = true;
     opts.cache = cache;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver costDrv(opts);
     ir::Module module;
     auto report = costDrv.compileAndMatch(source, module);
@@ -252,7 +254,7 @@ TEST(BackendPolicy, CacheReplayRerunsSelectionUnderCurrentPolicy)
 TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 {
     driver::DriverOptions opts;
-    opts.forcedBackends["gemm"] =
+    opts.backends.forced["gemm"] =
         runtime::BackendTarget{runtime::Api::CuBLAS,
                                runtime::Platform::DGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -264,7 +266,7 @@ TEST(BackendExecution, ForcedDgpuGemmIsByteIdentical)
 TEST(BackendExecution, ForcedDgpuSpmvIsByteIdentical)
 {
     driver::DriverOptions opts;
-    opts.forcedBackends["spmv"] =
+    opts.backends.forced["spmv"] =
         runtime::BackendTarget{runtime::Api::CuSPARSE,
                                runtime::Platform::DGPU, 0.0};
     driver::MatchingDriver drv(opts);
@@ -305,7 +307,7 @@ TEST(BackendExecution, DoubleGemmEveryTargetIsByteIdentical)
     for (const auto &target :
          runtime::legalTargets(idioms::IdiomClass::MatrixOp)) {
         driver::DriverOptions opts;
-        opts.forcedBackends["gemm"] = target;
+        opts.backends.forced["gemm"] = target;
         driver::MatchingDriver drv(opts);
         auto v = drv.verifyTransform(dgemm);
         EXPECT_TRUE(v.ok())
@@ -320,7 +322,7 @@ TEST(BackendExecution, CostModelSuiteSweepIsByteIdentical)
     // program must still execute byte-identically even when the cost
     // layer re-homes its kernels.
     driver::DriverOptions opts;
-    opts.backendPolicy = transform::BackendPolicy::CostModel;
+    opts.backends.policy = transform::BackendPolicy::CostModel;
     driver::MatchingDriver drv(opts);
     for (const auto &v : drv.verifyTransforms()) {
         EXPECT_TRUE(v.ok()) << v.name << ": " << v.error;
@@ -364,4 +366,124 @@ TEST(Protocol, MatchLinesCarryBackendKeysOnlyUnderCostModel)
         }
     }
     EXPECT_TRUE(sawBackend);
+}
+
+// ------------------------------------- CostModel MATCH-line golden
+
+namespace {
+
+uint64_t
+fnv1a64(const std::string &s)
+{
+    uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** One suite program: the FNV-1a hash of the MATCH lines (each
+ *  followed by '\n') of its CostModel SUBMIT response. */
+struct MatchLinesRow
+{
+    const char *program;
+    uint64_t hash;
+};
+
+// Taken while the service still chose backends through its own
+// decision pass, separate from the transform stage's; it pins the
+// MATCH-line backend=/cost_ms=/alt= keys of every suite program.
+const MatchLinesRow kCostModelMatchLines[] = {
+    {"BT", 0x60b6f00c17bcefdull},
+    {"CG", 0x4e50382b02b4ed4ull},
+    {"DC", 0xec03c00b96f64585ull},
+    {"EP", 0xac8f06b29c3deb41ull},
+    {"FT", 0x81057b0b1e66f5b3ull},
+    {"IS", 0x263c81b25b5724bbull},
+    {"LU", 0x3380a751860d876dull},
+    {"MG", 0xbb542c85b43bb76aull},
+    {"SP", 0xca262d822344e036ull},
+    {"UA", 0x788ec36750d23fa1ull},
+    {"bfs", 0x9ca84e5b2c66b46dull},
+    {"cutcp", 0x75afba5ef970d712ull},
+    {"histo", 0x67c61863cacfe350ull},
+    {"lbm", 0x27ae46ad1763e26aull},
+    {"mri-g", 0x1bd1a13443245d5full},
+    {"mri-q", 0x62735c98a6f0226full},
+    {"sad", 0xfefe5f721388724eull},
+    {"sgemm", 0x79e1e570c8646ac0ull},
+    {"spmv", 0xe11256e62e7aad1aull},
+    {"stencil", 0x3522e286239f5503ull},
+    {"tpacf", 0x6a9cda3a79e5b812ull},
+};
+
+/** @p mo reports exactly the backend choice recorded in @p rep. */
+bool
+sameDecision(const service::MatchOutcome &mo,
+             const transform::Replacement &rep)
+{
+    if (!mo.hasBackend || mo.cls != rep.cls ||
+        mo.backend != runtime::backendToken(rep.target) ||
+        mo.predictedMs != rep.target.predictedMs ||
+        mo.rejected.size() != rep.rejected.size())
+        return false;
+    for (size_t i = 0; i < rep.rejected.size(); ++i) {
+        if (mo.rejected[i].first !=
+                runtime::backendToken(rep.rejected[i]) ||
+            mo.rejected[i].second != rep.rejected[i].predictedMs)
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
+// The CostModel MATCH lines of all 21 suite programs stay
+// byte-identical, and every replacement the transform stage commits
+// under CostModel carries the backend decision the service reported
+// for its match. Replacements come back in match order, so each one
+// must equal a MATCH decision after the previous one's. A hash
+// mismatch prints the actual row in the table's syntax.
+TEST(Protocol, CostModelMatchLinesGolden)
+{
+    const auto &suite = benchmarks::nasParboilSuite();
+    ASSERT_EQ(suite.size(), std::size(kCostModelMatchLines));
+    for (size_t p = 0; p < suite.size(); ++p) {
+        const benchmarks::BenchmarkProgram &program = suite[p];
+        service::ServiceOptions sopts;
+        sopts.backendPolicy = transform::BackendPolicy::CostModel;
+        service::MatchService svc(sopts);
+        auto outcome = svc.submit(program.name, program.source);
+        ASSERT_TRUE(outcome.ok) << program.name << ": " << outcome.error;
+        std::string lines;
+        for (const auto &line : service::formatSubmitResponse(outcome)) {
+            if (line.rfind("MATCH ", 0) == 0)
+                lines += line + "\n";
+        }
+        const uint64_t hash = fnv1a64(lines);
+        EXPECT_STREQ(kCostModelMatchLines[p].program,
+                     program.name.c_str());
+        EXPECT_EQ(hash, kCostModelMatchLines[p].hash)
+            << "actual row:\n    {\"" << program.name << "\", 0x"
+            << std::hex << hash << "ull},";
+
+        driver::DriverOptions dopts;
+        dopts.applyTransforms = true;
+        dopts.backends.policy = transform::BackendPolicy::CostModel;
+        driver::MatchingDriver drv(dopts);
+        ir::Module module;
+        auto report = drv.compileAndMatch(program.source, module);
+        EXPECT_FALSE(report.replacements.empty()) << program.name;
+        size_t next = 0;
+        for (const transform::Replacement &rep : report.replacements) {
+            while (next < outcome.matchList.size() &&
+                   !sameDecision(outcome.matchList[next], rep))
+                ++next;
+            EXPECT_LT(next, outcome.matchList.size())
+                << program.name << ": committed " << rep.calleeName
+                << " has no equal MATCH decision";
+            ++next;
+        }
+    }
 }

@@ -55,7 +55,7 @@ sweepClass(idioms::IdiomClass cls)
     for (const auto &target : targets) {
         driver::DriverOptions opts;
         for (const auto &kind : kindsOf(cls))
-            opts.forcedBackends[kind] = target;
+            opts.backends.forced[kind] = target;
         driver::MatchingDriver drv(opts);
         for (const auto &v : drv.verifyTransforms()) {
             EXPECT_TRUE(v.ok())

@@ -174,6 +174,53 @@ TEST(IdlParser, OutOfRangeCollectBoundIsDiagnosed)
                      2, 13);
 }
 
+TEST(IdlParser, CollectBoundAtCapIsAccepted)
+{
+    auto prog = idl::parseIdlOrDie(
+        "Constraint T\n( collect i " +
+        std::to_string(idl::kMaxExpansion) +
+        "\n  ( {v[i]} is add instruction ) ) End");
+    EXPECT_EQ(prog->lookup("T")->body->collectMax, idl::kMaxExpansion);
+    solver::CompiledProgram compiled(idl::lowerIdiom(*prog, "T"));
+}
+
+TEST(IdlParser, CollectBoundAboveCapIsDiagnosed)
+{
+    expectOutOfRange("Constraint T\n( collect i " +
+                         std::to_string(idl::kMaxExpansion + 1) +
+                         "\n  ( {v[i]} is add instruction ) ) End",
+                     2, 13);
+}
+
+TEST(IdlLowering, ForAllRangeAtCapIsAccepted)
+{
+    auto prog = idl::parseIdlOrDie(
+        "Constraint T\n( ( {v[i]} is add instruction )\n"
+        "  for all i = 1 .. " +
+        std::to_string(idl::kMaxExpansion + 1) + " ) End");
+    auto lowered = idl::lowerIdiom(*prog, "T");
+    EXPECT_EQ(lowered.root->kind, solver::Node::Kind::And);
+    EXPECT_EQ(lowered.root->children.size(),
+              static_cast<size_t>(idl::kMaxExpansion));
+}
+
+TEST(IdlLowering, ForSomeRangeAboveCapIsRejected)
+{
+    const std::string hi = std::to_string(idl::kMaxExpansion + 2);
+    expectLoweringError("Constraint T\n( ( {v[i]} is add instruction )\n"
+                        "  for some i = 1 .. " + hi + " ) End",
+                        "range 1 .. " + hi + " of 'i' at 3:12 is wider "
+                        "than " + std::to_string(idl::kMaxExpansion));
+}
+
+TEST(IdlLowering, VarListRangeAboveCapIsRejected)
+{
+    const std::string hi = std::to_string(idl::kMaxExpansion + 1);
+    expectLoweringError("Constraint T\n( all data flow into {o} inside "
+                        "{r} is killed by {v[0.." + hi + "]} ) End",
+                        "range 0 .. " + hi + " of 'v' is wider than");
+}
+
 TEST(IdlLowering, TemplateParametersAndForAll)
 {
     // ForNest's N parameter changes the lowered variable set.
