@@ -27,27 +27,6 @@ nowMs()
         .count();
 }
 
-/** Idiom-class counts of one benchmark. */
-struct ClassCounts
-{
-    int sr = 0, h = 0, st = 0, m = 0, sp = 0;
-
-    void
-    add(idioms::IdiomClass cls)
-    {
-        switch (cls) {
-          case idioms::IdiomClass::ScalarReduction: ++sr; break;
-          case idioms::IdiomClass::HistogramReduction: ++h; break;
-          case idioms::IdiomClass::Stencil: ++st; break;
-          case idioms::IdiomClass::MatrixOp: ++m; break;
-          case idioms::IdiomClass::SparseMatrixOp: ++sp; break;
-          default: break;
-        }
-    }
-
-    int total() const { return sr + h + st + m + sp; }
-};
-
 /** Compile one benchmark and detect its idioms (batched driver). */
 inline std::vector<idioms::IdiomMatch>
 detectBenchmark(const benchmarks::BenchmarkProgram &b,
@@ -55,15 +34,6 @@ detectBenchmark(const benchmarks::BenchmarkProgram &b,
 {
     driver::MatchingDriver drv;
     return drv.compileAndMatch(b.source, module).allMatches();
-}
-
-inline ClassCounts
-countClasses(const std::vector<idioms::IdiomMatch> &matches)
-{
-    ClassCounts c;
-    for (const auto &m : matches)
-        c.add(m.cls);
-    return c;
 }
 
 } // namespace repro::bench

@@ -17,11 +17,12 @@ main()
                 "ScalarR", "HistogR", "Stencil", "MatOp", "SpMat");
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
-        auto matches = bench::detectBenchmark(b, module);
-        bench::ClassCounts c = bench::countClasses(matches);
+        idioms::ClassCounts c;
+        for (const auto &m : bench::detectBenchmark(b, module))
+            c.add(m.cls);
         std::printf("%-8s %6d | %9d %9d %7d %6d %6d\n",
-                    b.name.c_str(), c.total(), c.sr, c.h, c.st, c.m,
-                    c.sp);
+                    b.name.c_str(), c.total(), c.scalarReductions,
+                    c.histograms, c.stencils, c.matrixOps, c.sparseOps);
     }
     return 0;
 }

@@ -15,18 +15,12 @@ using namespace repro;
 int
 main()
 {
-    bench::ClassCounts idl;
-    baselines::BaselineCounts polly, icc;
+    idioms::ClassCounts idl, polly, icc;
 
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
-        auto matches = bench::detectBenchmark(b, module);
-        bench::ClassCounts c = bench::countClasses(matches);
-        idl.sr += c.sr;
-        idl.h += c.h;
-        idl.st += c.st;
-        idl.m += c.m;
-        idl.sp += c.sp;
+        for (const auto &m : bench::detectBenchmark(b, module))
+            idl.add(m.cls);
 
         auto p = baselines::runPollyLike(module);
         polly.scalarReductions += p.scalarReductions;
@@ -49,8 +43,9 @@ main()
                 dash(polly.sparseOps).c_str());
     std::printf("%-6s %10d %10s %8s %10s %12s\n", "ICC",
                 icc.scalarReductions, "-", "-", "-", "-");
-    std::printf("%-6s %10d %10d %8d %10d %12d\n", "IDL", idl.sr,
-                idl.h, idl.st, idl.m, idl.sp);
+    std::printf("%-6s %10d %10d %8d %10d %12d\n", "IDL",
+                idl.scalarReductions, idl.histograms, idl.stencils,
+                idl.matrixOps, idl.sparseOps);
     std::printf("\nPaper: Polly 3/-/5/-/-  ICC 28/-/-/-/-  "
                 "IDL 45/5/6/1/3\n");
     return 0;

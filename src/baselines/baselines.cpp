@@ -278,7 +278,7 @@ isStencilLoop(const Loop &loop)
 }
 
 void
-countPollyLoop(const Loop &loop, BaselineCounts &counts)
+countPollyLoop(const Loop &loop, idioms::ClassCounts &counts)
 {
     // Reductions inside the SCoP.
     LoopParts parts = analyzeLoop(loop);
@@ -292,10 +292,10 @@ countPollyLoop(const Loop &loop, BaselineCounts &counts)
 
 } // namespace
 
-BaselineCounts
+idioms::ClassCounts
 runPollyLike(ir::Module &module)
 {
-    BaselineCounts counts;
+    idioms::ClassCounts counts;
     for (const auto &func : module.functions()) {
         if (func->isDeclaration())
             continue;
@@ -309,10 +309,10 @@ runPollyLike(ir::Module &module)
     return counts;
 }
 
-BaselineCounts
+idioms::ClassCounts
 runIccLike(ir::Module &module)
 {
-    BaselineCounts counts;
+    idioms::ClassCounts counts;
     for (const auto &func : module.functions()) {
         if (func->isDeclaration())
             continue;

@@ -20,25 +20,16 @@
 #ifndef BASELINES_BASELINES_H
 #define BASELINES_BASELINES_H
 
+#include "idioms/library.h"
 #include "ir/function.h"
 
 namespace repro::baselines {
 
-/** Idiom-class counts a baseline reports (Table 1 columns). */
-struct BaselineCounts
-{
-    int scalarReductions = 0;
-    int histograms = 0;
-    int stencils = 0;
-    int matrixOps = 0;
-    int sparseOps = 0;
-};
-
-/** Polly-like SCoP-restricted detection over a module. */
-BaselineCounts runPollyLike(ir::Module &module);
+/** Polly-like SCoP-restricted detection over a module (Table 1). */
+idioms::ClassCounts runPollyLike(ir::Module &module);
 
 /** ICC-like dependence-based reduction detection over a module. */
-BaselineCounts runIccLike(ir::Module &module);
+idioms::ClassCounts runIccLike(ir::Module &module);
 
 } // namespace repro::baselines
 

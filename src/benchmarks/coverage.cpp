@@ -20,7 +20,10 @@ runtimeCoverage(const std::vector<idioms::IdiomMatch> &matches,
         ir::Function *func = match.function;
         const analysis::LoopInfo &loops =
             analyses.try_emplace(func, func).first->second.loopInfo();
-        for (const auto &var : idioms::idiomClaimVars(match.idiom)) {
+        const idioms::IdiomInfo *row = idioms::findIdiom(match.idiom);
+        if (!row)
+            continue;
+        for (const auto &var : row->claimVars) {
             const ir::Value *cmp = match.solution.lookup(var);
             if (!cmp || !cmp->isInstruction())
                 continue;

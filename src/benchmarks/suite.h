@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "idioms/library.h"
 #include "interp/interpreter.h"
 #include "runtime/device_model.h"
 
@@ -38,21 +39,7 @@ struct Instance
 using SetupFn = std::function<Instance(interp::Memory &)>;
 
 /** Expected idiom counts (the Table 1 / Figure 16 ground truth). */
-struct ExpectedIdioms
-{
-    int scalarReductions = 0;
-    int histograms = 0;
-    int stencils = 0;
-    int matrixOps = 0;
-    int sparseOps = 0;
-
-    int
-    total() const
-    {
-        return scalarReductions + histograms + stencils + matrixOps +
-               sparseOps;
-    }
-};
+using ExpectedIdioms = idioms::ClassCounts;
 
 /** One benchmark program. */
 struct BenchmarkProgram

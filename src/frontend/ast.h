@@ -76,6 +76,9 @@ struct Expr
 
     std::vector<std::unique_ptr<Expr>> children;
 
+    /** Levels of this subtree (1 for a leaf), set by the parser. */
+    int depth = 1;
+
     explicit Expr(Kind k) : kind(k) {}
 };
 

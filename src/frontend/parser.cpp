@@ -1,5 +1,6 @@
 #include "frontend/parser.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <map>
@@ -126,6 +127,40 @@ class Parser
             throw FatalError("MiniC parse error");
         }
         return v;
+    }
+
+    /** One level of recursive descent, bounded by kMaxNesting. */
+    class Nested
+    {
+      public:
+        explicit Nested(Parser &p) : p_(p)
+        {
+            if (++p_.nesting_ > kMaxNesting)
+                p_.tooDeep(p_.peek().loc);
+        }
+        ~Nested() { --p_.nesting_; }
+
+      private:
+        Parser &p_;
+    };
+
+    [[noreturn]] void
+    tooDeep(SourceLoc loc)
+    {
+        diags_.error(loc, "nesting deeper than " +
+                              std::to_string(kMaxNesting) + " levels");
+        throw FatalError("MiniC parse error");
+    }
+
+    /** @p e with its depth set from its children, within kMaxNesting. */
+    ExprPtr
+    sealed(ExprPtr e)
+    {
+        for (const ExprPtr &child : e->children)
+            e->depth = std::max(e->depth, child->depth + 1);
+        if (e->depth > kMaxNesting)
+            tooDeep(e->loc);
+        return e;
     }
 
     bool
@@ -286,6 +321,7 @@ class Parser
     StmtPtr
     parseStatement()
     {
+        Nested nested(*this);
         const Token &t = peek();
         if (t.isPunct("{"))
             return parseBlock();
@@ -461,6 +497,7 @@ class Parser
     ExprPtr
     parseAssignExpr()
     {
+        Nested nested(*this);
         ExprPtr lhs = parseTernary();
         const Token &t = peek();
         static const char *assign_ops[] = {"=",  "+=", "-=",
@@ -473,7 +510,7 @@ class Parser
                 e->op = op;
                 e->children.push_back(std::move(lhs));
                 e->children.push_back(parseAssignExpr());
-                return e;
+                return sealed(std::move(e));
             }
         }
         return lhs;
@@ -491,7 +528,7 @@ class Parser
             e->children.push_back(parseAssignExpr());
             expectPunct(":");
             e->children.push_back(parseAssignExpr());
-            return e;
+            return sealed(std::move(e));
         }
         return cond;
     }
@@ -527,7 +564,7 @@ class Parser
             e->op = op.text;
             e->children.push_back(std::move(lhs));
             e->children.push_back(std::move(rhs));
-            lhs = std::move(e);
+            lhs = sealed(std::move(e));
         }
         return lhs;
     }
@@ -535,6 +572,7 @@ class Parser
     ExprPtr
     parseUnary()
     {
+        Nested nested(*this);
         const Token &t = peek();
         if (t.isPunct("-") || t.isPunct("!") || t.isPunct("*") ||
             t.isPunct("~") || t.isPunct("+")) {
@@ -543,7 +581,7 @@ class Parser
             e->loc = op.loc;
             e->op = op.text;
             e->children.push_back(parseUnary());
-            return e;
+            return sealed(std::move(e));
         }
         if (t.isPunct("++") || t.isPunct("--")) {
             Token op = next();
@@ -555,7 +593,7 @@ class Parser
             auto one = std::make_unique<Expr>(Expr::Kind::IntLit);
             one->intValue = 1;
             e->children.push_back(std::move(one));
-            return e;
+            return sealed(std::move(e));
         }
         if (t.isPunct("(") && isCastAhead()) {
             next(); // (
@@ -565,7 +603,7 @@ class Parser
             e->loc = t.loc;
             e->op = "cast:" + castName(type);
             e->children.push_back(parseUnary());
-            return e;
+            return sealed(std::move(e));
         }
         return parsePostfix();
     }
@@ -608,7 +646,7 @@ class Parser
                 idx->children.push_back(std::move(e));
                 idx->children.push_back(parseExpr());
                 expectPunct("]");
-                e = std::move(idx);
+                e = sealed(std::move(idx));
             } else if (t.isPunct("++") || t.isPunct("--")) {
                 Token op = next();
                 auto post =
@@ -616,7 +654,7 @@ class Parser
                 post->loc = op.loc;
                 post->op = op.text;
                 post->children.push_back(std::move(e));
-                e = std::move(post);
+                e = sealed(std::move(post));
             } else {
                 break;
             }
@@ -653,7 +691,7 @@ class Parser
                     } while (acceptPunct(","));
                     expectPunct(")");
                 }
-                return call;
+                return sealed(std::move(call));
             }
             auto e = std::make_unique<Expr>(Expr::Kind::VarRef);
             e->loc = t.loc;
@@ -672,6 +710,8 @@ class Parser
     std::vector<Token> tokens_;
     DiagEngine &diags_;
     size_t pos_ = 0;
+    /** Levels of recursive descent currently open. */
+    int nesting_ = 0;
     /** Token index of the last parsed function body's "{". */
     size_t bodyStart_ = 0;
 };

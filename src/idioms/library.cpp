@@ -503,22 +503,65 @@ idiomLibrarySource()
     return source;
 }
 
-std::vector<std::string>
+const std::vector<IdiomInfo> &
+idiomTable()
+{
+    // Most specific first. Stencil2D has no planner; FactorizationOpportunity
+    // is the Figure 2 example, solved and linted but not detected.
+    static const std::vector<IdiomInfo> table = {
+        {"GEMM", IdiomClass::MatrixOp, "output.store_instr",
+         {"loop[0].comparison", "loop[1].comparison",
+          "loop[2].comparison"},
+         0, "gemm"},
+        {"SPMV", IdiomClass::SparseMatrixOp, "output.store_instr",
+         {"comparison", "inner.comparison"}, 0, "spmv"},
+        {"Stencil3D", IdiomClass::Stencil, "write.store_instr",
+         {"loop[0].comparison", "loop[1].comparison",
+          "loop[2].comparison"},
+         2, "stencil3d"},
+        {"Stencil2D", IdiomClass::Stencil, "write.store_instr",
+         {"loop[0].comparison", "loop[1].comparison"}, 2, ""},
+        {"Stencil1D", IdiomClass::Stencil, "write.store_instr",
+         {"comparison"}, 2, "stencil1d"},
+        {"Histogram", IdiomClass::HistogramReduction, "store_instr",
+         {"comparison"}, 1, "histogram"},
+        {"Reduction", IdiomClass::ScalarReduction, "old_value",
+         {"comparison"}, 0, "reduce"},
+        {"FactorizationOpportunity", IdiomClass::Other, "sum", {}, 0, ""},
+    };
+    return table;
+}
+
+const IdiomInfo *
+findIdiom(const std::string &idiom)
+{
+    for (const IdiomInfo &row : idiomTable()) {
+        if (row.name == idiom)
+            return &row;
+    }
+    return nullptr;
+}
+
+const std::vector<std::string> &
 rootIdiomNames()
 {
-    auto roots = topLevelIdioms();
-    roots.push_back("FactorizationOpportunity");
-    return roots;
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const IdiomInfo &row : idiomTable())
+            out.push_back(row.name);
+        return out;
+    }();
+    return names;
 }
 
 const std::vector<std::string> &
 rewriteAbiVarLeaves()
 {
     // Terminal variable components the transformation stage reads out
-    // of solutions (transform/transform.cpp: loop bounds, strides,
-    // base pointers, initial accumulator values). These are bound for
-    // export, so a single mention is correct — the lint's unused-var
-    // rule must not flag them.
+    // of solutions (the planners in transform/rewrite.cpp: loop
+    // bounds, strides, base pointers, initial accumulator values).
+    // These are bound for export, so a single mention is correct —
+    // the lint's unused-var rule must not flag them.
     static const std::vector<std::string> leaves = {
         "init",     "value",    "base_pointer", "iter_end",
         "step",     "bin_base", "init_value",
@@ -556,6 +599,19 @@ idiomClassName(IdiomClass cls)
     return "Other";
 }
 
+void
+ClassCounts::add(IdiomClass cls)
+{
+    switch (cls) {
+      case IdiomClass::ScalarReduction: ++scalarReductions; break;
+      case IdiomClass::HistogramReduction: ++histograms; break;
+      case IdiomClass::Stencil: ++stencils; break;
+      case IdiomClass::MatrixOp: ++matrixOps; break;
+      case IdiomClass::SparseMatrixOp: ++sparseOps; break;
+      case IdiomClass::Other: break;
+    }
+}
+
 std::string
 matchFingerprint(const IdiomMatch &match)
 {
@@ -586,38 +642,13 @@ idiomSetHash()
             h *= 1099511628211ull;
         };
         mix(idiomLibrarySource());
-        for (const auto &name : topLevelIdioms())
-            mix(name);
+        for (const IdiomInfo &row : idiomTable()) {
+            if (row.cls != IdiomClass::Other)
+                mix(row.name);
+        }
         return h;
     }();
     return hash;
-}
-
-IdiomClass
-idiomClassOf(const std::string &idiom)
-{
-    if (idiom == "Reduction")
-        return IdiomClass::ScalarReduction;
-    if (idiom == "Histogram")
-        return IdiomClass::HistogramReduction;
-    if (idiom == "Stencil1D" || idiom == "Stencil2D" ||
-        idiom == "Stencil3D") {
-        return IdiomClass::Stencil;
-    }
-    if (idiom == "GEMM")
-        return IdiomClass::MatrixOp;
-    if (idiom == "SPMV")
-        return IdiomClass::SparseMatrixOp;
-    return IdiomClass::Other;
-}
-
-std::vector<std::string>
-topLevelIdioms()
-{
-    // Most specific first; subsumption removes generic matches whose
-    // loops are already claimed.
-    return {"GEMM",      "SPMV",      "Stencil3D", "Stencil2D",
-            "Stencil1D", "Histogram", "Reduction"};
 }
 
 namespace {
@@ -640,13 +671,10 @@ idiomCache()
     // concurrent service connections only ever read the finished map.
     static const auto cache = [] {
         std::map<std::string, CachedIdiom> m;
-        for (const auto &name : topLevelIdioms()) {
-            m.emplace(name, CachedIdiom(
-                                idl::lowerIdiom(idiomLibrary(), name)));
+        for (const IdiomInfo &row : idiomTable()) {
+            m.emplace(row.name, CachedIdiom(idl::lowerIdiom(
+                                    idiomLibrary(), row.name)));
         }
-        m.emplace("FactorizationOpportunity",
-                  CachedIdiom(idl::lowerIdiom(
-                      idiomLibrary(), "FactorizationOpportunity")));
         return m;
     }();
     return cache;
@@ -668,83 +696,6 @@ compiledIdiomOrNull(const std::string &idiom)
     const auto &cache = idiomCache();
     auto it = cache.find(idiom);
     return it == cache.end() ? nullptr : &it->second.compiled;
-}
-
-std::string
-idiomAnchorVar(const std::string &idiom)
-{
-    if (idiom == "Reduction")
-        return "old_value";
-    if (idiom == "Histogram")
-        return "store_instr";
-    if (idiom == "SPMV")
-        return "output.store_instr";
-    if (idiom == "GEMM")
-        return "output.store_instr";
-    if (idiom == "Stencil1D" || idiom == "Stencil2D" ||
-        idiom == "Stencil3D") {
-        return "write.store_instr";
-    }
-    if (idiom == "FactorizationOpportunity")
-        return "sum";
-    return "";
-}
-
-namespace {
-
-/** Minimum collected reads for a match of @p idiom to count. */
-size_t
-minReadsOf(const std::string &idiom)
-{
-    if (idiom == "Stencil1D" || idiom == "Stencil2D" ||
-        idiom == "Stencil3D") {
-        return 2;
-    }
-    if (idiom == "Histogram")
-        return 1;
-    return 0;
-}
-
-/** Collected-read array pattern per idiom. */
-std::string
-readPatternOf(const std::string & /*idiom*/)
-{
-    return "read_value[*]";
-}
-
-} // namespace
-
-std::vector<std::string>
-idiomClaimVars(const std::string &idiom)
-{
-    if (idiom == "SPMV")
-        return {"comparison", "inner.comparison"};
-    if (idiom == "GEMM") {
-        return {"loop[0].comparison", "loop[1].comparison",
-                "loop[2].comparison"};
-    }
-    if (idiom == "Stencil3D") {
-        return {"loop[0].comparison", "loop[1].comparison",
-                "loop[2].comparison"};
-    }
-    if (idiom == "Stencil2D")
-        return {"loop[0].comparison", "loop[1].comparison"};
-    if (idiom == "Stencil1D" || idiom == "Histogram" ||
-        idiom == "Reduction") {
-        return {"comparison"};
-    }
-    return {};
-}
-
-int
-idiomSpecificity(const std::string &idiom)
-{
-    const auto order = topLevelIdioms();
-    for (size_t i = 0; i < order.size(); ++i) {
-        if (order[i] == idiom)
-            return static_cast<int>(i);
-    }
-    return static_cast<int>(order.size());
 }
 
 IdiomDetector::IdiomDetector() : IdiomDetector(solver::SolverLimits{})
@@ -781,15 +732,16 @@ IdiomDetector::runIdiom(ir::Function *func, const std::string &idiom,
 
     // Deduplicate by anchor variable: one match per anchored
     // instruction regardless of how many assignments the disjunctions
-    // admit.
-    std::string anchor = idiomAnchorVar(idiom);
-    bool is_stencil = idiomClassOf(idiom) == IdiomClass::Stencil;
+    // admit. Names outside the table count every solution as Other.
+    static const IdiomInfo kUnlisted{"", IdiomClass::Other, "", {}, 0, ""};
+    const IdiomInfo *row = findIdiom(idiom);
+    const IdiomInfo &info = row ? *row : kUnlisted;
+    bool is_stencil = info.cls == IdiomClass::Stencil;
     std::set<const ir::Value *> seen;
     std::vector<IdiomMatch> out;
     for (auto &sol : solutions) {
-        size_t n_reads =
-            sol.lookupArray(readPatternOf(idiom)).size();
-        if (n_reads < minReadsOf(idiom))
+        size_t n_reads = sol.lookupArray("read_value[*]").size();
+        if (n_reads < info.minReads)
             continue;
         if (is_stencil) {
             // An elementwise map is not a stencil: some read must be
@@ -814,12 +766,12 @@ IdiomDetector::runIdiom(ir::Function *func, const std::string &idiom,
                 continue;
         }
         const ir::Value *key =
-            anchor.empty() ? nullptr : sol.lookup(anchor);
+            info.anchor.empty() ? nullptr : sol.lookup(info.anchor);
         if (key && !seen.insert(key).second)
             continue;
         IdiomMatch match;
         match.idiom = idiom;
-        match.cls = idiomClassOf(idiom);
+        match.cls = info.cls;
         match.solution = std::move(sol);
         match.function = func;
         out.push_back(std::move(match));
@@ -842,31 +794,26 @@ IdiomDetector::detect(ir::Function *func,
         return {};
     std::vector<IdiomMatch> all;
     std::set<const ir::Value *> claimed;
-    for (const std::string &idiom : topLevelIdioms()) {
-        auto matches = runIdiom(func, idiom, fa);
-        for (auto &m : matches) {
-            // Subsumption: skip generic matches on claimed loops.
+    for (const IdiomInfo &row : idiomTable()) {
+        if (row.cls == IdiomClass::Other)
+            continue;
+        // Subsumption: a generic match on a loop a more specific row
+        // already claimed is skipped.
+        bool generic = row.cls == IdiomClass::ScalarReduction ||
+                       row.cls == IdiomClass::HistogramReduction ||
+                       row.cls == IdiomClass::Stencil;
+        for (auto &m : runIdiom(func, row.name, fa)) {
             bool subsumed = false;
-            if (m.cls == IdiomClass::ScalarReduction ||
-                m.cls == IdiomClass::HistogramReduction ||
-                m.cls == IdiomClass::Stencil) {
-                for (const auto &var : idiomClaimVars(m.idiom)) {
-                    const ir::Value *loop = m.solution.lookup(var);
-                    if (loop && claimed.count(loop)) {
-                        subsumed = true;
-                        break;
-                    }
-                }
-                if (m.cls == IdiomClass::ScalarReduction) {
-                    const ir::Value *loop =
-                        m.solution.lookup("comparison");
-                    if (loop && claimed.count(loop))
-                        subsumed = true;
+            for (const auto &var : row.claimVars) {
+                const ir::Value *loop = m.solution.lookup(var);
+                if (loop && claimed.count(loop)) {
+                    subsumed = generic;
+                    break;
                 }
             }
             if (subsumed)
                 continue;
-            for (const auto &var : idiomClaimVars(m.idiom)) {
+            for (const auto &var : row.claimVars) {
                 if (const ir::Value *loop = m.solution.lookup(var))
                     claimed.insert(loop);
             }

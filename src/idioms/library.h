@@ -34,6 +34,56 @@ enum class IdiomClass
 
 const char *idiomClassName(IdiomClass cls);
 
+/**
+ * Idiom counts per Table 1 class: one benchmark's ground truth, a
+ * detector's findings or a baseline's.
+ */
+struct ClassCounts
+{
+    int scalarReductions = 0;
+    int histograms = 0;
+    int stencils = 0;
+    int matrixOps = 0;
+    int sparseOps = 0;
+
+    /** Count one idiom of @p cls; Other counts in no column. */
+    void add(IdiomClass cls);
+
+    int
+    total() const
+    {
+        return scalarReductions + histograms + stencils + matrixOps +
+               sparseOps;
+    }
+};
+
+/**
+ * One root idiom of the library: everything the detector, the rewrite
+ * engine, the binder and the coverage reports know about it beyond its
+ * IDL text. Adding an idiom means adding its IDL and one row.
+ */
+struct IdiomInfo
+{
+    std::string name; ///< IDL constraint name, e.g. "SPMV"
+    IdiomClass cls;
+    /** Variable whose binding deduplicates matches ("" = none). */
+    std::string anchor;
+    /**
+     * Variables bound to the `comparison` of each loop a match
+     * occupies, outermost first: subsumption, runtime coverage and
+     * the loop a rewrite bypasses (the first) all read them.
+     */
+    std::vector<std::string> claimVars;
+    /** Fewest collected reads (read_value[*]) a counted match binds. */
+    size_t minReads;
+    /**
+     * Replacement::kind the transform stage lowers a match to
+     * (transform/rewrite.cpp plans it, transform/binder.cpp binds
+     * it); "" when no planner exists.
+     */
+    std::string rewriteKind;
+};
+
 /** One detected idiom instance. */
 struct IdiomMatch
 {
@@ -74,17 +124,27 @@ const std::string &idiomLibrarySource();
  */
 const idl::IdlProgram &idiomLibrary();
 
-/** Names of the top-level idioms the detector searches for. */
-std::vector<std::string> topLevelIdioms();
+/**
+ * Every root idiom, most specific first: a row's index is its
+ * specificity rank, which orders subsumption and the resolution of
+ * overlapping rewrite claims (a GEMM nest beats the scalar Reduction
+ * matched inside it). The detector searches the rows of the Table 1
+ * classes in this order; FactorizationOpportunity (Figure 2, class
+ * Other) is solved and linted but not detected.
+ */
+const std::vector<IdiomInfo> &idiomTable();
 
-/** The idioms actually handed to the solver: topLevelIdioms() plus
- *  FactorizationOpportunity — the lint roots for the library. */
-std::vector<std::string> rootIdiomNames();
+/** The row of @p idiom, or nullptr for names outside the table. */
+const IdiomInfo *findIdiom(const std::string &idiom);
+
+/** Every row's name: the lint roots of the library. */
+const std::vector<std::string> &rootIdiomNames();
 
 /**
  * Terminal variable-name components ("leaves" after the last '.')
  * that the transformation stage reads out of idiom solutions — the
- * rewrite ABI between the IDL library and transform/transform.cpp.
+ * rewrite ABI between the IDL library and the planners of
+ * transform/rewrite.cpp.
  * Passed to the IDL lint as its exported-variable list so unused-var
  * never flags a binding whose single mention IS its export.
  */
@@ -93,8 +153,8 @@ const std::vector<std::string> &rewriteAbiVarLeaves();
 /**
  * Pre-lowered constraint program of @p idiom, built once and shared
  * (lowering is function-independent, so re-lowering per matched
- * function is pure setup overhead). Covers the top-level idioms plus
- * FactorizationOpportunity; returns nullptr for any other name. The
+ * function is pure setup overhead). Covers every idiomTable() row;
+ * returns nullptr for any other name. The
  * returned program is immutable and safe to solve from any thread.
  */
 const solver::ConstraintProgram *
@@ -104,7 +164,7 @@ loweredIdiomOrNull(const std::string &idiom);
  * Slot-addressed compilation of @p idiom's lowered program (see
  * solver/compiled.h), built once next to loweredIdiomOrNull and
  * shared the same way: immutable, thread-safe, nullptr for names
- * outside the cached top-level set. The detection hot path solves
+ * outside idiomTable(). The detection hot path solves
  * these; the lowered Node form remains available for ablations and
  * the golden reference engine.
  */
@@ -112,10 +172,10 @@ const solver::CompiledProgram *
 compiledIdiomOrNull(const std::string &idiom);
 
 /**
- * The detection driver: runs every top-level idiom over a function,
- * deduplicates by anchor variable and applies subsumption (a loop
- * claimed by GEMM/SPMV/Stencil/Histogram is not additionally counted
- * as a scalar reduction).
+ * The detection driver: runs every detected idiomTable() row over a
+ * function, deduplicates by anchor variable and applies subsumption (a
+ * loop claimed by GEMM/SPMV/Stencil/Histogram is not additionally
+ * counted as a scalar reduction).
  */
 class IdiomDetector
 {
@@ -155,27 +215,6 @@ class IdiomDetector
     solver::SolveStatus status_ = solver::SolveStatus::Complete;
     solver::SolverLimits limits_;
 };
-
-/** Anchor variable used to deduplicate matches of @p idiom. */
-std::string idiomAnchorVar(const std::string &idiom);
-
-/** Classification of a top-level idiom name. */
-IdiomClass idiomClassOf(const std::string &idiom);
-
-/**
- * Specificity rank of @p idiom: its position in the most-specific-
- * first topLevelIdioms() order (0 = most specific). Names outside the
- * top-level set rank least specific. The rewrite engine uses this to
- * resolve overlapping block claims — a GEMM nest beats the scalar
- * Reduction matched inside it.
- */
-int idiomSpecificity(const std::string &idiom);
-
-/**
- * Variable names whose bound values identify the loops an idiom match
- * occupies (used for subsumption and runtime-coverage attribution).
- */
-std::vector<std::string> idiomClaimVars(const std::string &idiom);
 
 } // namespace repro::idioms
 

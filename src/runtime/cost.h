@@ -47,7 +47,7 @@ std::vector<BackendTarget> legalTargets(idioms::IdiomClass cls);
 
 /**
  * The historical single-target lowering of @p cls: the host backend
- * the Transformer hard-wired before backend selection existed. This
+ * every rewrite used before backend selection existed. This
  * is what BackendPolicy::Fixed always picks.
  */
 BackendTarget fixedTarget(idioms::IdiomClass cls);

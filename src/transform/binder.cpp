@@ -1,5 +1,6 @@
 #include "transform/binder.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -101,10 +102,10 @@ spmvInline(Memory &mem, const std::vector<RuntimeValue> &args)
 }
 
 void
-bindSpmv(Interpreter &interp, const std::string &name)
+bindSpmv(Interpreter &interp, const Replacement &rep)
 {
     interp.registerNative(
-        name,
+        rep.calleeName,
         [](const std::vector<RuntimeValue> &args, Interpreter &it) {
             spmvInline(it.memory(), args);
             return RuntimeValue::makeVoid();
@@ -147,14 +148,13 @@ gemmLoop(Memory &mem, const std::vector<RuntimeValue> &args)
 }
 
 void
-bindGemm(Interpreter &interp, const std::string &name,
-         Type::Kind elemKind)
+bindGemm(Interpreter &interp, const Replacement &rep)
 {
-    auto loop = elemKind == Type::Kind::Float ? &gemmLoop<float>
-                                              : &gemmLoop<double>;
+    auto loop = rep.elemKind == Type::Kind::Float ? &gemmLoop<float>
+                                                  : &gemmLoop<double>;
     interp.registerNative(
-        name, [loop](const std::vector<RuntimeValue> &args,
-                     Interpreter &it) {
+        rep.calleeName, [loop](const std::vector<RuntimeValue> &args,
+                               Interpreter &it) {
             loop(it.memory(), args);
             return RuntimeValue::makeVoid();
         });
@@ -324,6 +324,21 @@ bindStencil(Interpreter &interp, const Replacement &rep)
         });
 }
 
+using Binder = void (*)(Interpreter &, const Replacement &);
+
+/** The host handler of each replacement kind in idioms::idiomTable(). */
+Binder
+binderOf(const std::string &kind)
+{
+    static const std::map<std::string, Binder> binders = {
+        {"spmv", bindSpmv},         {"gemm", bindGemm},
+        {"reduce", bindReduce},     {"histogram", bindHistogram},
+        {"stencil1d", bindStencil}, {"stencil3d", bindStencil},
+    };
+    auto it = binders.find(kind);
+    return it == binders.end() ? nullptr : it->second;
+}
+
 } // namespace
 
 void
@@ -335,17 +350,12 @@ bindReplacements(Interpreter &interp,
     // calls (e.g. "__hetero_gemm_f64__cublas_gpu") and its modeled
     // price. Call sites sharing a callee re-register the same handler.
     for (const Replacement &rep : replacements) {
-        if (rep.kind == "spmv") {
-            bindSpmv(interp, rep.calleeName);
-        } else if (rep.kind == "gemm") {
-            bindGemm(interp, rep.calleeName, rep.elemKind);
-        } else if (rep.kind == "reduce") {
-            bindReduce(interp, rep);
-        } else if (rep.kind == "histogram") {
-            bindHistogram(interp, rep);
-        } else if (rep.kind.rfind("stencil", 0) == 0) {
-            bindStencil(interp, rep);
+        Binder bind = binderOf(rep.kind);
+        if (!bind) {
+            throw FatalError("binder: no handler for replacement kind '" +
+                             rep.kind + "' of '" + rep.calleeName + "'");
         }
+        bind(interp, rep);
     }
 }
 

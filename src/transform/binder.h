@@ -21,8 +21,11 @@ namespace repro::transform {
  * extracted IR kernel functions through the interpreter, while
  * library-backed ones (spmv/gemm) run one host loop over the heap
  * whatever their target: every backend-suffixed entry point of a kind
- * binds the same handler. Call after
- * transform::Transformer::applyAll and before Interpreter::run.
+ * binds the same handler. A kind with no handler (every
+ * idioms::idiomTable() replacement kind has one) throws FatalError
+ * naming the kind and the callee. Call after the rewrite engine's
+ * planners (transform/rewrite.cpp) have committed, e.g. through
+ * transform::Transformer::applyAll, and before Interpreter::run.
  */
 void bindReplacements(interp::Interpreter &interp,
                       const std::vector<Replacement> &replacements);

@@ -1,6 +1,7 @@
 #include "transform/rewrite.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <set>
 
@@ -20,86 +21,116 @@ using solver::Solution;
 // ------------------------------------------------------------- planners
 //
 // Planners never mutate: everything the commit stage needs is recorded
-// in the RewritePlan. Each planner's check order and the points where
-// it consumes the module's name counter are behaviour, not style:
-// Transform.Table1SuiteGolden pins the callee and kernel names they
-// produce and the order functions are appended to the module.
+// in the RewritePlan. plan() runs the frame every scheme shares; each
+// planner adds only what is particular to its idiom. The check order
+// and the points where a planner consumes the module's name counter
+// are behaviour, not style: Transform.Table1SuiteGolden pins the
+// callee and kernel names they produce and the order functions are
+// appended to the module.
 
-std::optional<RewritePlan>
-RewriteEngine::planSpmv(const idioms::IdiomMatch &match,
-                        analysis::FunctionAnalyses &fa)
+namespace {
+
+/**
+ * What plan() hands a planner. The plan arrives with its idiom,
+ * function, bypassed loop, claimed blocks and record.kind set;
+ * @p natural is that loop in the function's loop forest.
+ */
+struct Frame
 {
-    const Solution &sol = match.solution;
-    LoopShape loop = loopFromSolution(sol, "");
-    if (!loop.complete())
-        return std::nullopt;
+    ir::Module &module;
+    int &counter; ///< the engine's kernel/callee name counter
+    const Solution &sol;
+    const analysis::DomTree &dom;
+    const analysis::Loop &natural;
+};
 
+/** Fills in @p plan; false when the scheme cannot express the match. */
+using Planner = bool (*)(RewritePlan &plan, const Frame &f);
+
+/** read[i].base_pointer of each of @p n collected reads, if all bound. */
+std::optional<std::vector<Value *>>
+readBases(const Solution &sol, size_t n)
+{
+    std::vector<Value *> bases;
+    for (size_t i = 0; i < n; ++i) {
+        Value *base = asValue(
+            sol.lookup("read[" + std::to_string(i) + "].base_pointer"));
+        if (!base)
+            return std::nullopt;
+        bases.push_back(base);
+    }
+    return bases;
+}
+
+/** Every instruction among @p values is available at the plan's
+ *  precursor, where the inserted call passes it. */
+bool
+availableBefore(const Frame &f, const RewritePlan &plan,
+                const std::vector<Value *> &values)
+{
+    for (Value *v : values) {
+        Instruction *inst = asInst(v);
+        if (inst && !f.dom.dominates(inst, plan.loop.precursor))
+            return false;
+    }
+    return true;
+}
+
+bool
+planSpmv(RewritePlan &plan, const Frame &f)
+{
+    const Solution &sol = f.sol;
     Value *rowstr = asValue(sol.lookup("range.lo.base_pointer"));
     Value *colidx = asValue(sol.lookup("idx_read.base_pointer"));
     Value *a = asValue(sol.lookup("seq_read.base_pointer"));
     Value *z = asValue(sol.lookup("indir_read.base_pointer"));
     Value *r = asValue(sol.lookup("output.base_pointer"));
     if (!rowstr || !colidx || !a || !z || !r)
-        return std::nullopt;
+        return false;
 
-    auto &types = module_.types();
+    auto &types = f.module.types();
     // The fixed cusparseDcsrmv-like signature (Figure 6).
     if (pointeeElement(rowstr) != types.i32Ty() ||
         pointeeElement(colidx) != types.i32Ty() ||
         pointeeElement(a) != types.doubleTy() ||
         pointeeElement(z) != types.doubleTy() ||
         pointeeElement(r) != types.doubleTy()) {
-        return std::nullopt;
+        return false;
+    }
+    if (!loopIsSelfContained(f.natural, nullptr) ||
+        !loopEffectsAreCovered(
+            f.natural, {sol.lookup("output.store_instr")}, false)) {
+        return false;
     }
 
-    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
-    if (!natural || !loopIsSelfContained(*natural, nullptr))
-        return std::nullopt;
-    if (!loopEffectsAreCovered(
-            *natural, {sol.lookup("output.store_instr")}, false)) {
-        return std::nullopt;
-    }
-    if (!canBypassLoop(loop))
-        return std::nullopt;
-
-    RewritePlan plan;
-    plan.kind = "spmv";
-    plan.idiom = match.idiom;
-    plan.function = match.function;
-    plan.loop = loop;
-    plan.claimedBlocks.assign(natural->blocks.begin(),
-                              natural->blocks.end());
     Type *i32p = types.pointerTo(types.i32Ty());
     Type *f64p = types.pointerTo(types.doubleTy());
-    plan.calleeName = "__hetero_spmv";
     plan.calleeReturn = types.voidTy();
     plan.calleeParams = {types.i64Ty(), types.i64Ty(), i32p, i32p,
                          f64p,          f64p,          f64p};
     plan.reuseCallee = true;
-    plan.args = {{CallArg::Mode::ToI64, loop.iterBegin},
-                 {CallArg::Mode::ToI64, loop.iterEnd},
+    plan.args = {{CallArg::Mode::ToI64, plan.loop.iterBegin},
+                 {CallArg::Mode::ToI64, plan.loop.iterEnd},
                  {CallArg::Mode::Decay, rowstr},
                  {CallArg::Mode::Decay, colidx},
                  {CallArg::Mode::Decay, a},
                  {CallArg::Mode::Decay, z},
                  {CallArg::Mode::Decay, r}};
-    plan.record.kind = "spmv";
-    plan.record.calleeName = plan.calleeName;
-    return plan;
+    plan.record.calleeName = "__hetero_spmv";
+    return true;
 }
 
-std::optional<RewritePlan>
-RewriteEngine::planGemm(const idioms::IdiomMatch &match,
-                        analysis::FunctionAnalyses &fa)
+bool
+planGemm(RewritePlan &plan, const Frame &f)
 {
-    const Solution &sol = match.solution;
-    LoopShape loop0 = loopFromSolution(sol, "loop[0].");
+    const Solution &sol = f.sol;
+    const LoopShape &loop0 = plan.loop;
     LoopShape loop1 = loopFromSolution(sol, "loop[1].");
     LoopShape loop2 = loopFromSolution(sol, "loop[2].");
-    if (!loop0.complete() || !loop1.complete() || !loop2.complete())
-        return std::nullopt;
+    if (!loop1.complete() || !loop2.complete())
+        return false;
 
-    auto &types = module_.types();
+    auto &types = f.module.types();
 
     // Resolve one matrix access into base + (col, row) strides.
     struct Access
@@ -119,7 +150,7 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
             return std::nullopt;
         const Value *col = sol.lookup(col_var);
         const Value *row = sol.lookup(row_var);
-        Value *one = module_.intConst(types.i64Ty(), 1);
+        Value *one = f.module.intConst(types.i64Ty(), 1);
         if (const Value *stride = sol.lookup(prefix + ".stride")) {
             // Flat form: plain + scaled_iter*stride.
             const Value *plain =
@@ -145,7 +176,7 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
             stripSext(address->operand(address->numOperands() - 1));
         int64_t row_elems = static_cast<int64_t>(
             address->accessType()->arraySize());
-        Value *stride = module_.intConst(types.i64Ty(), row_elems);
+        Value *stride = f.module.intConst(types.i64Ty(), row_elems);
         if (inner == col) {
             acc.colStride = one;
             acc.rowStride = stride;
@@ -162,13 +193,13 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
     auto in1 = resolve("input1", "iterator[0]", "iterator[2]");
     auto in2 = resolve("input2", "iterator[1]", "iterator[2]");
     if (!out || !in1 || !in2)
-        return std::nullopt;
+        return false;
 
     Type *elem = pointeeElement(out->base);
     if (elem != pointeeElement(in1->base) ||
         elem != pointeeElement(in2->base) ||
         !(elem == types.floatTy() || elem == types.doubleTy())) {
-        return std::nullopt;
+        return false;
     }
 
     // Alpha / beta extraction from the stored value expression.
@@ -177,12 +208,12 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
     const Value *init = sol.lookup("init");
     const Value *out_addr = sol.lookup("output.address");
     if (!acc_phi || !stored || !init)
-        return std::nullopt;
+        return false;
 
     Value *alpha = nullptr;
     Value *beta = nullptr;
     auto fp_const = [&](double v) -> Value * {
-        return module_.fpConst(elem, v);
+        return f.module.fpConst(elem, v);
     };
     auto is_load_of_out = [&](const Value *v) {
         const Instruction *inst =
@@ -223,7 +254,7 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
                 const Value *sv = zero_store->operand(0);
                 if (!sv->isConstant() ||
                     !static_cast<const ir::Constant *>(sv)->isZero()) {
-                    return std::nullopt;
+                    return false;
                 }
                 beta = fp_const(0.0);
                 allowed_stores.insert(zero_store);
@@ -231,18 +262,18 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
                 beta = fp_const(1.0);
             }
         } else {
-            return std::nullopt;
+            return false;
         }
     } else {
         // Match beta*C + alpha*acc (any operand order).
         const Instruction *add = asInst(stored);
         if (!add || !add->is(Opcode::FAdd))
-            return std::nullopt;
+            return false;
         const Instruction *mul_a = asInst(add->operand(0));
         const Instruction *mul_b = asInst(add->operand(1));
         if (!mul_a || !mul_b || !mul_a->is(Opcode::FMul) ||
             !mul_b->is(Opcode::FMul)) {
-            return std::nullopt;
+            return false;
         }
         auto pick = [&](const Instruction *mul, const Value *want,
                         auto pred) -> Value * {
@@ -266,43 +297,21 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
             beta = pick(mul_a, nullptr, is_out_load);
         }
         if (!alpha || !beta)
-            return std::nullopt;
+            return false;
         if (!init->isConstant() ||
             !static_cast<const ir::Constant *>(init)->isZero()) {
-            return std::nullopt;
+            return false;
         }
     }
 
-    const analysis::DomTree &dom = fa.domTree();
-    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop0);
-    if (!natural || !loopIsSelfContained(*natural, nullptr))
-        return std::nullopt;
-    if (!loopEffectsAreCovered(*natural, allowed_stores, false))
-        return std::nullopt;
-    // alpha/beta must be available before the nest.
-    for (Value *v : {alpha, beta}) {
-        if (Instruction *inst = asInst(v)) {
-            if (!dom.dominates(inst, loop0.precursor))
-                return std::nullopt;
-        }
+    if (!loopIsSelfContained(f.natural, nullptr) ||
+        !loopEffectsAreCovered(f.natural, allowed_stores, false) ||
+        !availableBefore(f, plan, {alpha, beta})) {
+        return false;
     }
-    if (!canBypassLoop(loop0))
-        return std::nullopt;
 
-    bool is_f32 = elem == types.floatTy();
-    std::string name =
-        is_f32 ? "__hetero_gemm_f32" : "__hetero_gemm_f64";
-
-    RewritePlan plan;
-    plan.kind = "gemm";
-    plan.idiom = match.idiom;
-    plan.function = match.function;
-    plan.loop = loop0;
-    plan.claimedBlocks.assign(natural->blocks.begin(),
-                              natural->blocks.end());
     Type *i64 = types.i64Ty();
     Type *ep = types.pointerTo(elem);
-    plan.calleeName = name;
     plan.calleeReturn = types.voidTy();
     plan.calleeParams = {i64, i64, i64, i64, i64, i64, // bounds
                          ep,  i64, i64,                // C, c_col, c_row
@@ -327,201 +336,133 @@ RewriteEngine::planGemm(const idioms::IdiomMatch &match,
                  {CallArg::Mode::ToI64, in2->rowStride},
                  {CallArg::Mode::Raw, alpha},
                  {CallArg::Mode::Raw, beta}};
-    plan.record.kind = "gemm";
-    plan.record.calleeName = name;
+    plan.record.calleeName =
+        elem == types.floatTy() ? "__hetero_gemm_f32" : "__hetero_gemm_f64";
     plan.record.elemKind = elem->kind();
-    return plan;
+    return true;
 }
 
-std::optional<RewritePlan>
-RewriteEngine::planReduction(const idioms::IdiomMatch &match,
-                             analysis::FunctionAnalyses &fa)
+bool
+planReduction(RewritePlan &plan, const Frame &f)
 {
-    const Solution &sol = match.solution;
-    LoopShape loop = loopFromSolution(sol, "");
-    if (!loop.complete())
-        return std::nullopt;
-
+    const Solution &sol = f.sol;
+    const LoopShape &loop = plan.loop;
     const Value *old_value = sol.lookup("old_value");
     const Value *kernel_out = sol.lookup("kernel_output");
     Value *init = asValue(sol.lookup("init_value"));
     if (!old_value || !kernel_out || !init)
-        return std::nullopt;
+        return false;
 
     auto reads = sol.lookupArray("read_value[*]");
-    std::vector<Value *> bases;
-    for (size_t i = 0; i < reads.size(); ++i) {
-        Value *base = asValue(sol.lookup(
-            "read[" + std::to_string(i) + "].base_pointer"));
-        if (!base)
-            return std::nullopt;
-        bases.push_back(base);
-    }
-
-    const analysis::DomTree &dom = fa.domTree();
-    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
-    if (!natural || !loopIsSelfContained(*natural, old_value))
-        return std::nullopt;
-    if (!loopEffectsAreCovered(*natural, {}, true))
-        return std::nullopt;
-    for (Value *base : bases) {
-        if (Instruction *inst = asInst(base)) {
-            if (!dom.dominates(inst, loop.precursor))
-                return std::nullopt;
-        }
+    auto bases = readBases(sol, reads.size());
+    if (!bases || !loopIsSelfContained(f.natural, old_value) ||
+        !loopEffectsAreCovered(f.natural, {}, true) ||
+        !availableBefore(f, plan, *bases)) {
+        return false;
     }
 
     std::vector<const Value *> inputs(reads.begin(), reads.end());
     inputs.push_back(old_value);
-    std::string kname =
-        "__kernel_reduce_" + std::to_string(counter_++);
+    std::string kname = "__kernel_reduce_" + std::to_string(f.counter++);
     auto slice = planKernelSlice(kernel_out, loop.bodyBegin, inputs,
-                                 dom, loop.precursor);
+                                 f.dom, loop.precursor);
     if (!slice)
-        return std::nullopt;
+        return false;
 
-    auto &types = module_.types();
+    auto &types = f.module.types();
     Type *acc_type = asValue(old_value)->type();
-    std::vector<Type *> params{types.i64Ty(), types.i64Ty(),
-                               acc_type};
-    for (Value *base : bases)
-        params.push_back(types.pointerTo(pointeeElement(base)));
-    for (const Value *inv : slice->invariants)
-        params.push_back(inv->type());
-    std::string name =
-        "__hetero_reduce_" + std::to_string(counter_++);
-    if (!canBypassLoop(loop))
-        return std::nullopt;
-
-    RewritePlan plan;
-    plan.kind = "reduce";
-    plan.idiom = match.idiom;
-    plan.function = match.function;
-    plan.loop = loop;
-    plan.claimedBlocks.assign(natural->blocks.begin(),
-                              natural->blocks.end());
-    plan.calleeName = name;
     plan.calleeReturn = acc_type;
-    plan.calleeParams = std::move(params);
+    plan.calleeParams = {types.i64Ty(), types.i64Ty(), acc_type};
+    for (Value *base : *bases)
+        plan.calleeParams.push_back(types.pointerTo(pointeeElement(base)));
+    for (const Value *inv : slice->invariants)
+        plan.calleeParams.push_back(inv->type());
+    plan.record.calleeName =
+        "__hetero_reduce_" + std::to_string(f.counter++);
+
     plan.kernels.push_back({kname, *slice});
     plan.args = {{CallArg::Mode::ToI64, loop.iterBegin},
                  {CallArg::Mode::ToI64, loop.iterEnd},
                  {CallArg::Mode::Raw, init}};
-    for (Value *base : bases)
+    for (Value *base : *bases)
         plan.args.push_back({CallArg::Mode::Decay, base});
     for (const Value *inv : slice->invariants)
         plan.args.push_back({CallArg::Mode::Raw, asValue(inv)});
     plan.resultReplaces = asValue(old_value);
 
-    plan.record.kind = "reduce";
-    plan.record.calleeName = name;
     plan.record.numReads = static_cast<int>(reads.size());
     plan.record.numInvariants =
         static_cast<int>(slice->invariants.size());
     for (const Value *r : reads)
         plan.record.readKinds.push_back(r->type()->kind());
     plan.record.elemKind = acc_type->kind();
-    return plan;
+    return true;
 }
 
-std::optional<RewritePlan>
-RewriteEngine::planHistogram(const idioms::IdiomMatch &match,
-                             analysis::FunctionAnalyses &fa)
+bool
+planHistogram(RewritePlan &plan, const Frame &f)
 {
-    const Solution &sol = match.solution;
-    LoopShape loop = loopFromSolution(sol, "");
-    if (!loop.complete())
-        return std::nullopt;
-
+    const Solution &sol = f.sol;
+    const LoopShape &loop = plan.loop;
     const Value *new_value = sol.lookup("new_value");
     const Value *old_value = sol.lookup("old_value");
     const Value *index = sol.lookup("index");
     Value *bin_base = asValue(sol.lookup("bin_base"));
     if (!new_value || !old_value || !index || !bin_base)
-        return std::nullopt;
+        return false;
 
     auto reads = sol.lookupArray("read_value[*]");
-    std::vector<Value *> bases;
-    for (size_t i = 0; i < reads.size(); ++i) {
-        Value *base = asValue(sol.lookup(
-            "read[" + std::to_string(i) + "].base_pointer"));
-        if (!base)
-            return std::nullopt;
-        bases.push_back(base);
-    }
-
-    const analysis::DomTree &dom = fa.domTree();
-    const analysis::Loop *natural = findLoop(fa.loopInfo(), loop);
-    if (!natural || !loopIsSelfContained(*natural, nullptr))
-        return std::nullopt;
-    if (!loopEffectsAreCovered(*natural, {sol.lookup("store_instr")},
-                               true)) {
-        return std::nullopt;
-    }
-    for (Value *base : bases) {
-        if (Instruction *inst = asInst(base)) {
-            if (!dom.dominates(inst, loop.precursor))
-                return std::nullopt;
-        }
+    auto bases = readBases(sol, reads.size());
+    if (!bases || !loopIsSelfContained(f.natural, nullptr) ||
+        !loopEffectsAreCovered(f.natural, {sol.lookup("store_instr")},
+                               true) ||
+        !availableBefore(f, plan, *bases)) {
+        return false;
     }
 
     // Kernel computing the updated bin value from (reads..., old).
     std::vector<const Value *> val_inputs(reads.begin(), reads.end());
     val_inputs.push_back(old_value);
     std::string val_name =
-        "__kernel_histo_val_" + std::to_string(counter_);
+        "__kernel_histo_val_" + std::to_string(f.counter);
     auto val_slice = planKernelSlice(new_value, loop.bodyBegin,
-                                     val_inputs, dom, loop.precursor);
+                                     val_inputs, f.dom, loop.precursor);
     if (!val_slice)
-        return std::nullopt;
+        return false;
     // Kernel computing the bin index from (reads...).
     std::vector<const Value *> idx_inputs(reads.begin(), reads.end());
     std::string idx_name =
-        "__kernel_histo_idx_" + std::to_string(counter_);
+        "__kernel_histo_idx_" + std::to_string(f.counter);
     auto idx_slice = planKernelSlice(index, loop.bodyBegin, idx_inputs,
-                                     dom, loop.precursor);
+                                     f.dom, loop.precursor);
     if (!idx_slice)
-        return std::nullopt;
+        return false;
 
-    auto &types = module_.types();
-    std::vector<Type *> params{
-        types.i64Ty(), types.i64Ty(),
-        types.pointerTo(pointeeElement(bin_base))};
-    for (Value *base : bases)
-        params.push_back(types.pointerTo(pointeeElement(base)));
-    for (const Value *inv : val_slice->invariants)
-        params.push_back(inv->type());
-    for (const Value *inv : idx_slice->invariants)
-        params.push_back(inv->type());
-    std::string name =
-        "__hetero_histogram_" + std::to_string(counter_++);
-    if (!canBypassLoop(loop))
-        return std::nullopt;
-
-    RewritePlan plan;
-    plan.kind = "histogram";
-    plan.idiom = match.idiom;
-    plan.function = match.function;
-    plan.loop = loop;
-    plan.claimedBlocks.assign(natural->blocks.begin(),
-                              natural->blocks.end());
-    plan.calleeName = name;
+    auto &types = f.module.types();
     plan.calleeReturn = types.voidTy();
-    plan.calleeParams = std::move(params);
+    plan.calleeParams = {types.i64Ty(), types.i64Ty(),
+                         types.pointerTo(pointeeElement(bin_base))};
+    for (Value *base : *bases)
+        plan.calleeParams.push_back(types.pointerTo(pointeeElement(base)));
+    for (const Value *inv : val_slice->invariants)
+        plan.calleeParams.push_back(inv->type());
+    for (const Value *inv : idx_slice->invariants)
+        plan.calleeParams.push_back(inv->type());
+    plan.record.calleeName =
+        "__hetero_histogram_" + std::to_string(f.counter++);
+
     plan.kernels.push_back({val_name, *val_slice});
     plan.kernels.push_back({idx_name, *idx_slice});
     plan.args = {{CallArg::Mode::ToI64, loop.iterBegin},
                  {CallArg::Mode::ToI64, loop.iterEnd},
                  {CallArg::Mode::Decay, bin_base}};
-    for (Value *base : bases)
+    for (Value *base : *bases)
         plan.args.push_back({CallArg::Mode::Decay, base});
     for (const Value *inv : val_slice->invariants)
         plan.args.push_back({CallArg::Mode::Raw, asValue(inv)});
     for (const Value *inv : idx_slice->invariants)
         plan.args.push_back({CallArg::Mode::Raw, asValue(inv)});
 
-    plan.record.kind = "histogram";
-    plan.record.calleeName = name;
     plan.record.numReads = static_cast<int>(reads.size());
     plan.record.numInvariants =
         static_cast<int>(val_slice->invariants.size());
@@ -530,58 +471,48 @@ RewriteEngine::planHistogram(const idioms::IdiomMatch &match,
     for (const Value *r : reads)
         plan.record.readKinds.push_back(r->type()->kind());
     plan.record.elemKind = pointeeElement(bin_base)->kind();
-    return plan;
+    return true;
 }
 
-std::optional<RewritePlan>
-RewriteEngine::planStencil(const idioms::IdiomMatch &match,
-                           analysis::FunctionAnalyses &fa, int dims)
+/** Stencil1D and Stencil3D: one loop per claimed comparison. */
+bool
+planStencil(RewritePlan &plan, const Frame &f)
 {
-    const Solution &sol = match.solution;
-    LoopShape outer =
-        loopFromSolution(sol, dims == 1 ? "" : "loop[0].");
-    if (!outer.complete())
-        return std::nullopt;
-
+    const Solution &sol = f.sol;
+    const LoopShape &outer = plan.loop;
+    const int dims = static_cast<int>(plan.idiom->claimVars.size());
     const Value *write_value = sol.lookup("write.value");
     Value *write_base = asValue(sol.lookup("write.base_pointer"));
     if (!write_value || !write_base)
-        return std::nullopt;
+        return false;
 
     auto reads = sol.lookupArray("read_value[*]");
-    std::vector<Value *> bases;
-    std::vector<int64_t> offsets;
+    auto bases = readBases(sol, reads.size());
+    if (!bases)
+        return false;
     // The displaced index for dimension d of one read is bound to
     // "read[i].d<d>"; OffsetIndex helper variables live under
     // "read[i].off<d>.".
-    auto offset_of = [&](const std::string &read_prefix,
-                         int d) -> std::optional<int64_t> {
-        const Value *out =
-            sol.lookup(read_prefix + ".d" + std::to_string(d));
-        if (!out)
-            return std::nullopt;
-        const Instruction *inst = asInst(out);
-        if (!inst || inst->is(Opcode::Phi))
-            return 0; // the iterator itself ("same" branch)
-        const Value *c = sol.lookup(read_prefix + ".off" +
-                                    std::to_string(d) + ".offset");
-        if (!c || !c->isConstant())
-            return std::nullopt;
-        int64_t off =
-            static_cast<const ir::Constant *>(c)->intValue();
-        return inst->is(Opcode::Sub) ? -off : off;
-    };
+    std::vector<int64_t> offsets;
     for (size_t i = 0; i < reads.size(); ++i) {
         std::string prefix = "read[" + std::to_string(i) + "]";
-        Value *base = asValue(sol.lookup(prefix + ".base_pointer"));
-        if (!base)
-            return std::nullopt;
-        bases.push_back(base);
         for (int d = 0; d < dims; ++d) {
-            auto off = offset_of(prefix, d);
-            if (!off)
-                return std::nullopt;
-            offsets.push_back(*off);
+            std::string dim = std::to_string(d);
+            const Value *index = sol.lookup(prefix + ".d" + dim);
+            if (!index)
+                return false;
+            const Instruction *inst = asInst(index);
+            if (!inst || inst->is(Opcode::Phi)) {
+                offsets.push_back(0); // the iterator itself
+                continue;
+            }
+            const Value *c =
+                sol.lookup(prefix + ".off" + dim + ".offset");
+            if (!c || !c->isConstant())
+                return false;
+            int64_t off =
+                static_cast<const ir::Constant *>(c)->intValue();
+            offsets.push_back(inst->is(Opcode::Sub) ? -off : off);
         }
     }
 
@@ -592,28 +523,25 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match,
         s0 = asValue(sol.lookup("write.s0"));
         s1 = asValue(sol.lookup("write.s1"));
         if (!s0 || !s1)
-            return std::nullopt;
+            return false;
         for (size_t i = 0; i < reads.size(); ++i) {
             std::string prefix = "read[" + std::to_string(i) + "]";
             if (sol.lookup(prefix + ".s0") != s0 ||
                 sol.lookup(prefix + ".s1") != s1) {
-                return std::nullopt;
+                return false;
             }
         }
     }
 
-    const analysis::DomTree &dom = fa.domTree();
-    const analysis::Loop *natural = findLoop(fa.loopInfo(), outer);
-    if (!natural || !loopIsSelfContained(*natural, nullptr))
-        return std::nullopt;
-    if (!loopEffectsAreCovered(
-            *natural, {sol.lookup("write.store_instr")}, true)) {
-        return std::nullopt;
+    if (!loopIsSelfContained(f.natural, nullptr) ||
+        !loopEffectsAreCovered(
+            f.natural, {sol.lookup("write.store_instr")}, true)) {
+        return false;
     }
     // A Jacobi-style stencil must not update in place.
-    for (Value *base : bases) {
+    for (Value *base : *bases) {
         if (base == write_base)
-            return std::nullopt;
+            return false;
     }
 
     std::vector<const Value *> inputs(reads.begin(), reads.end());
@@ -622,45 +550,32 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match,
         dims == 1 ? "body_begin"
                   : "begin[" + std::to_string(dims - 1) + "]"));
     if (!inner_begin)
-        return std::nullopt;
-    std::string kname =
-        "__kernel_stencil_" + std::to_string(counter_);
-    auto slice = planKernelSlice(write_value, inner_begin, inputs,
-                                 dom, outer.precursor);
+        return false;
+    std::string kname = "__kernel_stencil_" + std::to_string(f.counter);
+    auto slice = planKernelSlice(write_value, inner_begin, inputs, f.dom,
+                                 outer.precursor);
     if (!slice)
-        return std::nullopt;
+        return false;
 
-    auto &types = module_.types();
+    auto &types = f.module.types();
     Type *elem = pointeeElement(write_base);
-    std::vector<Type *> params;
-    for (int d = 0; d < dims; ++d) {
-        params.push_back(types.i64Ty());
-        params.push_back(types.i64Ty());
-    }
-    params.push_back(types.pointerTo(elem));
-    if (dims == 3) {
-        params.push_back(types.i64Ty());
-        params.push_back(types.i64Ty());
-    }
-    for (Value *base : bases)
-        params.push_back(types.pointerTo(pointeeElement(base)));
-    for (const Value *inv : slice->invariants)
-        params.push_back(inv->type());
-    std::string name = "__hetero_stencil" + std::to_string(dims) +
-                       "d_" + std::to_string(counter_++);
-    if (!canBypassLoop(outer))
-        return std::nullopt;
-
-    RewritePlan plan;
-    plan.kind = "stencil" + std::to_string(dims) + "d";
-    plan.idiom = match.idiom;
-    plan.function = match.function;
-    plan.loop = outer;
-    plan.claimedBlocks.assign(natural->blocks.begin(),
-                              natural->blocks.end());
-    plan.calleeName = name;
     plan.calleeReturn = types.voidTy();
-    plan.calleeParams = std::move(params);
+    for (int d = 0; d < dims; ++d) {
+        plan.calleeParams.push_back(types.i64Ty());
+        plan.calleeParams.push_back(types.i64Ty());
+    }
+    plan.calleeParams.push_back(types.pointerTo(elem));
+    if (dims == 3) {
+        plan.calleeParams.push_back(types.i64Ty());
+        plan.calleeParams.push_back(types.i64Ty());
+    }
+    for (Value *base : *bases)
+        plan.calleeParams.push_back(types.pointerTo(pointeeElement(base)));
+    for (const Value *inv : slice->invariants)
+        plan.calleeParams.push_back(inv->type());
+    plan.record.calleeName = "__hetero_stencil" + std::to_string(dims) +
+                             "d_" + std::to_string(f.counter++);
+
     plan.kernels.push_back({kname, *slice});
     for (int d = 0; d < dims; ++d) {
         LoopShape shape =
@@ -675,13 +590,11 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match,
         plan.args.push_back({CallArg::Mode::ToI64, s0});
         plan.args.push_back({CallArg::Mode::ToI64, s1});
     }
-    for (Value *base : bases)
+    for (Value *base : *bases)
         plan.args.push_back({CallArg::Mode::Decay, base});
     for (const Value *inv : slice->invariants)
         plan.args.push_back({CallArg::Mode::Raw, asValue(inv)});
 
-    plan.record.kind = plan.kind;
-    plan.record.calleeName = name;
     plan.record.numReads = static_cast<int>(reads.size());
     plan.record.numInvariants =
         static_cast<int>(slice->invariants.size());
@@ -690,8 +603,23 @@ RewriteEngine::planStencil(const idioms::IdiomMatch &match,
     for (const Value *r : reads)
         plan.record.readKinds.push_back(r->type()->kind());
     plan.record.elemKind = elem->kind();
-    return plan;
+    return true;
 }
+
+/** The planner of a table row's replacement kind, or nullptr. */
+Planner
+plannerOf(const std::string &kind)
+{
+    static const std::map<std::string, Planner> planners = {
+        {"spmv", planSpmv},           {"gemm", planGemm},
+        {"reduce", planReduction},    {"histogram", planHistogram},
+        {"stencil1d", planStencil},   {"stencil3d", planStencil},
+    };
+    auto it = planners.find(kind);
+    return it == planners.end() ? nullptr : it->second;
+}
+
+} // namespace
 
 // ------------------------------------------------------------- pipeline
 
@@ -699,41 +627,51 @@ std::optional<RewritePlan>
 RewriteEngine::plan(const idioms::IdiomMatch &match,
                     analysis::FunctionAnalyses &fa)
 {
-    std::optional<RewritePlan> plan;
-    if (match.idiom == "SPMV")
-        plan = planSpmv(match, fa);
-    else if (match.idiom == "GEMM")
-        plan = planGemm(match, fa);
-    else if (match.idiom == "Reduction")
-        plan = planReduction(match, fa);
-    else if (match.idiom == "Histogram")
-        plan = planHistogram(match, fa);
-    else if (match.idiom == "Stencil3D")
-        plan = planStencil(match, fa, 3);
-    else if (match.idiom == "Stencil1D")
-        plan = planStencil(match, fa, 1);
-    if (!plan) {
+    // The frame every scheme shares. An idiom claims its loops by
+    // their comparisons, outermost first; the outermost is the loop
+    // the rewrite bypasses.
+    const idioms::IdiomInfo *row = idioms::findIdiom(match.idiom);
+    Planner planner = row ? plannerOf(row->rewriteKind) : nullptr;
+    RewritePlan plan;
+    const analysis::Loop *natural = nullptr;
+    if (planner) {
+        const std::string &outer = row->claimVars.front();
+        plan.loop = loopFromSolution(
+            match.solution,
+            outer.substr(0, outer.size() - std::strlen("comparison")));
+        if (plan.loop.complete())
+            natural = findLoop(fa.loopInfo(), plan.loop);
+    }
+    if (natural) {
+        plan.idiom = row;
+        plan.function = match.function;
+        plan.claimedBlocks.assign(natural->blocks.begin(),
+                                  natural->blocks.end());
+        plan.record.kind = row->rewriteKind;
+    }
+    if (!natural ||
+        !planner(plan, Frame{module_, counter_, match.solution,
+                             fa.domTree(), *natural}) ||
+        !canBypassLoop(plan.loop)) {
         ++stats_.unplannable;
-        return plan;
+        return std::nullopt;
     }
     ++stats_.planned;
 
     // Backend choice: a forced target, else the policy's.
-    Replacement &record = plan->record;
+    Replacement &record = plan.record;
     record.cls = match.cls;
     const runtime::BackendTarget fixed = runtime::fixedTarget(match.cls);
     record.target = fixed;
-    auto forced = backends_.forced.find(plan->kind);
+    auto forced = backends_.forced.find(record.kind);
     if (forced != backends_.forced.end()) {
         record.target = forced->second;
     } else if (backends_.policy == BackendPolicy::CostModel) {
         // Every legal (API, platform) priced against the static
-        // trip-count workload of the nest the plan bypasses (every
-        // planner has already found that loop); the cheapest wins.
-        const analysis::LoopInfo &loops = fa.loopInfo();
+        // trip-count workload of the nest the plan bypasses; the
+        // cheapest wins.
         std::vector<runtime::BackendTarget> ranked = runtime::rankTargets(
-            match.cls,
-            analysis::estimateWorkload(loops, findLoop(loops, plan->loop)));
+            match.cls, analysis::estimateWorkload(fa.loopInfo(), natural));
         if (!ranked.empty()) {
             record.target = ranked.front();
             record.rejected.assign(ranked.begin() + 1, ranked.end());
@@ -747,11 +685,8 @@ RewriteEngine::plan(const idioms::IdiomMatch &match,
     // DSL-backed schemes already have a unique per-site callee; the
     // target rides along in the Replacement record only. The fixed
     // target keeps the historical name, byte-for-byte.
-    if ((plan->kind == "spmv" || plan->kind == "gemm") &&
-        !runtime::sameBackend(record.target, fixed)) {
-        plan->calleeName += "__" + runtime::backendSymbol(record.target);
-        record.calleeName = plan->calleeName;
-    }
+    if (plan.reuseCallee && !runtime::sameBackend(record.target, fixed))
+        record.calleeName += "__" + runtime::backendSymbol(record.target);
     return plan;
 }
 
@@ -791,10 +726,9 @@ RewriteEngine::resolveOverlaps(std::vector<RewritePlan> plans)
         const RewritePlan &pb = plans[b];
         if (pa.claimedBlocks.size() != pb.claimedBlocks.size())
             return pa.claimedBlocks.size() > pb.claimedBlocks.size();
-        int sa = idioms::idiomSpecificity(pa.idiom);
-        int sb = idioms::idiomSpecificity(pb.idiom);
-        if (sa != sb)
-            return sa < sb;
+        // Table rows are stored most specific first.
+        if (pa.idiom != pb.idiom)
+            return pa.idiom < pb.idiom;
         return pa.matchIndex < pb.matchIndex;
     });
 
@@ -921,13 +855,13 @@ RewriteEngine::validate(const RewritePlan &plan) const
 
     // Callee declaration: a module-level name clash is fatal unless
     // the scheme deliberately shares the declaration.
-    if (Function *existing = module_.functionByName(plan.calleeName)) {
+    if (Function *existing = module_.functionByName(plan.record.calleeName)) {
         if (!plan.reuseCallee)
-            return "callee name '" + plan.calleeName +
+            return "callee name '" + plan.record.calleeName +
                    "' already exists in the module";
         if (existing->returnType() != plan.calleeReturn ||
             existing->functionType()->params() != plan.calleeParams) {
-            return "existing callee '" + plan.calleeName +
+            return "existing callee '" + plan.record.calleeName +
                    "' has a mismatching signature";
         }
     }
@@ -987,7 +921,7 @@ RewriteEngine::commitPlan(
     }
 
     Function *callee = plan.reuseCallee
-                           ? module_.functionByName(plan.calleeName)
+                           ? module_.functionByName(plan.record.calleeName)
                            : nullptr;
     if (callee) {
         if (callee->returnType() != plan.calleeReturn ||
@@ -996,7 +930,7 @@ RewriteEngine::commitPlan(
         }
     } else {
         callee = module_.createFunction(
-            plan.calleeName, plan.calleeReturn, plan.calleeParams);
+            plan.record.calleeName, plan.calleeReturn, plan.calleeParams);
         Function *created = callee;
         if (plan.reuseCallee) {
             // Shared declaration: another function's plan may commit

@@ -17,8 +17,10 @@
  *
  * The RewriteEngine stages mutation instead:
  *
- *  1. PLAN — every scheme (spmv/gemm/reduce/histogram/stencil) runs
- *     as a pure planner over unmutated IR and emits a RewritePlan:
+ *  1. PLAN — the planner of the match's idiom (the replacement kind
+ *     of its idioms::idiomTable() row: spmv/gemm/reduce/histogram/
+ *     stencil) runs as a pure function over unmutated IR inside a
+ *     frame plan() shares across schemes, and emits a RewritePlan:
  *     the loop blocks it claims, the callee declaration to
  *     materialize, kernel slices to extract (classified, not yet
  *     cloned), and the call arguments as recorded values. The plan's
@@ -26,7 +28,7 @@
  *     touched.
  *  2. RESOLVE — block claims are intersected across plans;
  *     overlapping claims are resolved most-specific-first (widest
- *     claim, then idioms::idiomSpecificity, then match order) and the
+ *     claim, then idiom table order, then match order) and the
  *     losers dropped, making applyAll's "most specific first"
  *     contract real.
  *  3. VALIDATE — every surviving plan is checked against the live IR
@@ -91,8 +93,8 @@ struct PlannedKernel
  */
 struct RewritePlan
 {
-    std::string kind;  ///< "spmv" | "gemm" | "reduce" | ...
-    std::string idiom; ///< source idiom name (overlap specificity)
+    /** The matched idiom's table row (overlap specificity). */
+    const idioms::IdiomInfo *idiom = nullptr;
     ir::Function *function = nullptr;
     /** Position in the planned match list (commit order). */
     size_t matchIndex = 0;
@@ -102,11 +104,14 @@ struct RewritePlan
     /** Natural-loop blocks this plan claims (overlap currency). */
     std::vector<ir::BasicBlock *> claimedBlocks;
 
-    /** Callee declaration to materialize (or reuse by name). */
-    std::string calleeName;
+    /** Callee declaration to materialize (or reuse by
+     *  record.calleeName). */
     ir::Type *calleeReturn = nullptr;
     std::vector<ir::Type *> calleeParams;
-    /** Library-backed schemes share one declaration per module. */
+    /**
+     * Library-backed schemes (spmv, gemm) share one declaration per
+     * module, named per backend target.
+     */
     bool reuseCallee = false;
 
     /** Kernel extractions ([0] = value kernel, [1] = index kernel). */
@@ -121,9 +126,9 @@ struct RewritePlan
     ir::Value *resultReplaces = nullptr;
 
     /**
-     * Replacement record (function pointers filled in at commit),
-     * including the idiom class and the chosen backend target with
-     * its ranked rejected alternatives.
+     * Replacement record (function pointers filled in at commit):
+     * the kind, the callee name, the idiom class and the chosen
+     * backend target with its ranked rejected alternatives.
      */
     Replacement record;
 };
@@ -167,7 +172,10 @@ class RewriteEngine
 
     /**
      * Plan one match against @p fa, the analyses of match.function;
-     * nullopt when no scheme can express it. The plan leaves with its
+     * nullopt when no scheme can express it. The frame shared by all
+     * schemes finds the bypassed loop (the first of the row's claim
+     * variables) and checks that it can be bypassed; the planner of
+     * the row's replacement kind adds the rest. The plan leaves with its
      * backend target chosen: a forced target for its kind, else
      * runtime::fixedTarget under BackendPolicy::Fixed, else the
      * cheapest of runtime::rankTargets for the workload of the loop
@@ -193,8 +201,8 @@ class RewriteEngine
 
     /**
      * Drop plans whose block claims overlap an accepted plan's,
-     * most-specific-first: widest claim, then
-     * idioms::idiomSpecificity, then match order. Survivors are
+     * most-specific-first: widest claim, then the idioms'
+     * idioms::idiomTable() order, then match order. Survivors are
      * returned in match order.
      */
     std::vector<RewritePlan>
@@ -231,22 +239,6 @@ class RewriteEngine
     const Stats &stats() const { return stats_; }
 
   private:
-    std::optional<RewritePlan>
-    planSpmv(const idioms::IdiomMatch &match,
-             analysis::FunctionAnalyses &fa);
-    std::optional<RewritePlan>
-    planGemm(const idioms::IdiomMatch &match,
-             analysis::FunctionAnalyses &fa);
-    std::optional<RewritePlan>
-    planReduction(const idioms::IdiomMatch &match,
-                  analysis::FunctionAnalyses &fa);
-    std::optional<RewritePlan>
-    planHistogram(const idioms::IdiomMatch &match,
-                  analysis::FunctionAnalyses &fa);
-    std::optional<RewritePlan>
-    planStencil(const idioms::IdiomMatch &match,
-                analysis::FunctionAnalyses &fa, int dims);
-
     /**
      * Apply one plan. Mutations are appended to @p undo (run in
      * reverse on rollback); values rewired by earlier commits resolve

@@ -8,7 +8,7 @@ using namespace repro;
 // Table 1 of the paper: Polly 3/-/5/-/- and ICC 28/-/-/-/-.
 TEST(Baselines, Table1Counts)
 {
-    baselines::BaselineCounts polly, icc;
+    idioms::ClassCounts polly, icc;
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);

@@ -12,32 +12,6 @@
 using namespace repro;
 using benchmarks::BenchmarkProgram;
 
-namespace {
-
-struct Counts
-{
-    int sr = 0, h = 0, st = 0, m = 0, sp = 0;
-};
-
-Counts
-countMatches(const std::vector<idioms::IdiomMatch> &matches)
-{
-    Counts c;
-    for (const auto &m : matches) {
-        switch (m.cls) {
-          case idioms::IdiomClass::ScalarReduction: ++c.sr; break;
-          case idioms::IdiomClass::HistogramReduction: ++c.h; break;
-          case idioms::IdiomClass::Stencil: ++c.st; break;
-          case idioms::IdiomClass::MatrixOp: ++c.m; break;
-          case idioms::IdiomClass::SparseMatrixOp: ++c.sp; break;
-          default: break;
-        }
-    }
-    return c;
-}
-
-} // namespace
-
 class SuiteTest : public ::testing::TestWithParam<const char *>
 {};
 
@@ -48,12 +22,15 @@ TEST_P(SuiteTest, DetectsExpectedIdioms)
     ir::Module module;
     frontend::compileMiniCOrDie(b.source, module);
     auto matches = driver::MatchingDriver{}.matchModule(module).allMatches();
-    Counts c = countMatches(matches);
-    EXPECT_EQ(c.sr, b.expected.scalarReductions) << "scalar reductions";
-    EXPECT_EQ(c.h, b.expected.histograms) << "histograms";
-    EXPECT_EQ(c.st, b.expected.stencils) << "stencils";
-    EXPECT_EQ(c.m, b.expected.matrixOps) << "matrix ops";
-    EXPECT_EQ(c.sp, b.expected.sparseOps) << "sparse ops";
+    idioms::ClassCounts c;
+    for (const auto &m : matches)
+        c.add(m.cls);
+    EXPECT_EQ(c.scalarReductions, b.expected.scalarReductions)
+        << "scalar reductions";
+    EXPECT_EQ(c.histograms, b.expected.histograms) << "histograms";
+    EXPECT_EQ(c.stencils, b.expected.stencils) << "stencils";
+    EXPECT_EQ(c.matrixOps, b.expected.matrixOps) << "matrix ops";
+    EXPECT_EQ(c.sparseOps, b.expected.sparseOps) << "sparse ops";
 }
 
 // Transformation must preserve program results bit-for-bit on every
@@ -126,25 +103,21 @@ INSTANTIATE_TEST_SUITE_P(
 // Table 1 bottom line: 60 idioms across the whole corpus.
 TEST(SuiteTotals, SixtyIdioms)
 {
-    Counts total;
+    idioms::ClassCounts total;
     solver::SolveStats effort;
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
         driver::MatchingDriver drv;
-        Counts c = countMatches(drv.matchModule(module).allMatches());
+        for (const auto &m : drv.matchModule(module).allMatches())
+            total.add(m.cls);
         effort += drv.totals();
-        total.sr += c.sr;
-        total.h += c.h;
-        total.st += c.st;
-        total.m += c.m;
-        total.sp += c.sp;
     }
-    EXPECT_EQ(total.sr, 45);
-    EXPECT_EQ(total.h, 5);
-    EXPECT_EQ(total.st, 6);
-    EXPECT_EQ(total.m, 1);
-    EXPECT_EQ(total.sp, 3);
+    EXPECT_EQ(total.scalarReductions, 45);
+    EXPECT_EQ(total.histograms, 5);
+    EXPECT_EQ(total.stencils, 6);
+    EXPECT_EQ(total.matrixOps, 1);
+    EXPECT_EQ(total.sparseOps, 3);
     // Pinned solver effort of the Table 1 workload: a change that
     // moves the search (ordering, pruning, idiom library) must update
     // these.

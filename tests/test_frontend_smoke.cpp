@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 #include "frontend/compiler.h"
 #include "frontend/lexer.h"
+#include "frontend/parser.h"
 #include "interp/interpreter.h"
 #include "ir/printer.h"
 
@@ -153,4 +154,70 @@ TEST(Lexer, BadNumberLiteralsAreDiagnosed)
     const std::string text = ir::printModule(module);
     EXPECT_NE(text.find("9223372036854775807"), std::string::npos)
         << text;
+}
+
+namespace {
+
+std::string
+repeat(const std::string &s, int n)
+{
+    std::string out;
+    out.reserve(s.size() * static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+/** "return a + a + ... + a;" with @p terms terms. */
+std::string
+chainSource(int terms)
+{
+    return "int f(int a) { return a" + repeat(" + a", terms - 1) +
+           "; }";
+}
+
+/** The first diagnostic of compiling @p source, "" when it compiles. */
+std::string
+compileError(const std::string &source)
+{
+    ir::Module module;
+    DiagEngine diags;
+    if (frontend::compileMiniC(source, module, diags))
+        return "";
+    return diags.all().empty() ? "no diagnostic"
+                               : diags.all().front().str();
+}
+
+} // namespace
+
+// Input nested past kMaxNesting is a located parse error instead of a
+// stack overflow in the parser, codegen or the AST's destructor.
+TEST(Nesting, DeepParenthesesAreALocatedError)
+{
+    const int n = 1000000;
+    EXPECT_EQ(compileError("int f(int a) { return " + repeat("(", n) +
+                           "a" + repeat(")", n) + "; }"),
+              "error at 1:522: nesting deeper than 1000 levels");
+}
+
+TEST(Nesting, LongOperatorChainIsALocatedError)
+{
+    // The chain is built by a loop, not by recursion: the tree's own
+    // depth is what the limit counts.
+    EXPECT_EQ(compileError(chainSource(100000)),
+              "error at 1:4021: nesting deeper than 1000 levels");
+    EXPECT_EQ(compileError("int f(int *a) { return a" +
+                           repeat("[0]", 100000) + "; }"),
+              "error at 1:3022: nesting deeper than 1000 levels");
+}
+
+TEST(Nesting, LimitIsExact)
+{
+    EXPECT_EQ(compileError(chainSource(frontend::kMaxNesting)), "");
+    EXPECT_EQ(compileError(chainSource(frontend::kMaxNesting + 1)),
+              "error at 1:4021: nesting deeper than 1000 levels");
+    EXPECT_EQ(compileError("int f(int a) { " + repeat("{", 900) +
+                           "a = a + 1;" + repeat("}", 900) +
+                           " return a; }"),
+              "");
 }

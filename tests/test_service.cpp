@@ -481,6 +481,31 @@ TEST(MatchService, BadNumberLiteralIsACompileError)
     EXPECT_TRUE(last.ok);
 }
 
+// A SUBMIT nested past frontend::kMaxNesting is a located compile
+// error; the service keeps the previous session and serves the next
+// SUBMIT as usual.
+TEST(MatchService, DeepNestingIsALocatedError)
+{
+    service::MatchService svc;
+    auto good = svc.submit("clientA", clientSource());
+    ASSERT_TRUE(good.ok) << good.error;
+
+    const size_t n = 1000000;
+    auto deep = svc.submit("clientA", "int f(int a) { return " +
+                                          std::string(n, '(') + "a" +
+                                          std::string(n, ')') + "; }");
+    EXPECT_FALSE(deep.ok);
+    EXPECT_EQ(deep.error,
+              "error at 1:522: nesting deeper than 1000 levels");
+    service::SubmitOutcome last;
+    ASSERT_TRUE(svc.lastOutcome("clientA", &last));
+    EXPECT_EQ(last.matches, good.matches);
+
+    auto next = svc.submit("clientA", clientSource(100, 51));
+    ASSERT_TRUE(next.ok) << next.error;
+    EXPECT_EQ(next.matches, good.matches);
+}
+
 // ------------------------------------------------------- line proto
 
 TEST(Protocol, ParseRequests)

@@ -142,15 +142,6 @@ expectStatsEqual(const solver::SolveStats &a,
     EXPECT_EQ(a.dedupHits, b.dedupHits) << what;
 }
 
-/** Idioms the golden sweep checks: the cached set. */
-std::vector<std::string>
-goldenIdioms()
-{
-    auto idioms = idioms::topLevelIdioms();
-    idioms.push_back("FactorizationOpportunity");
-    return idioms;
-}
-
 /**
  * Solve @p program compiled and via the reference engine against
  * every defined function of @p module and require byte-identical
@@ -190,7 +181,7 @@ TEST(CompiledSolverGolden, Table1SuiteAllIdioms)
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
-        for (const auto &idiom : goldenIdioms()) {
+        for (const auto &idiom : idioms::rootIdiomNames()) {
             const solver::ConstraintProgram *lowered =
                 idioms::loweredIdiomOrNull(idiom);
             ASSERT_NE(lowered, nullptr) << idiom;
@@ -287,7 +278,7 @@ TEST(CompiledSolverGolden, SuiteSolutionsUnchanged)
     for (const auto &b : benchmarks::nasParboilSuite()) {
         ir::Module module;
         frontend::compileMiniCOrDie(b.source, module);
-        for (const auto &idiom : goldenIdioms()) {
+        for (const auto &idiom : idioms::rootIdiomNames()) {
             const solver::CompiledProgram *prog =
                 idioms::compiledIdiomOrNull(idiom);
             ASSERT_NE(prog, nullptr) << idiom;

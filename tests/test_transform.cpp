@@ -629,3 +629,106 @@ TEST(Transform, NegativeOracleNullTamperMatchesPlainVerify)
     EXPECT_EQ(plain.transformedSteps, hooked.transformedSteps);
     EXPECT_EQ(plain.replacements, hooked.replacements);
 }
+
+// Pins every idiomTable() row: class, anchor, claim variables,
+// minimum reads, specificity rank and replacement kind, including
+// cells the suite goldens never exercise (FactorizationOpportunity's
+// anchor, Stencil2D's missing planner, Histogram's minimum of one
+// read). A mismatch prints the actual row in this table's syntax.
+TEST(IdiomTable, RowsArePinned)
+{
+    struct Row
+    {
+        const char *name;
+        const char *cls;
+        const char *anchor;
+        std::vector<std::string> claimVars;
+        size_t minReads;
+        size_t rank;
+        const char *rewriteKind;
+    };
+    const Row expected[] = {
+        {"GEMM", "Matrix Op.", "output.store_instr",
+         {"loop[0].comparison", "loop[1].comparison",
+          "loop[2].comparison"},
+         0, 0, "gemm"},
+        {"SPMV", "Sparse Matrix Op.", "output.store_instr",
+         {"comparison", "inner.comparison"}, 0, 1, "spmv"},
+        {"Stencil3D", "Stencil", "write.store_instr",
+         {"loop[0].comparison", "loop[1].comparison",
+          "loop[2].comparison"},
+         2, 2, "stencil3d"},
+        {"Stencil2D", "Stencil", "write.store_instr",
+         {"loop[0].comparison", "loop[1].comparison"}, 2, 3, ""},
+        {"Stencil1D", "Stencil", "write.store_instr", {"comparison"}, 2,
+         4, "stencil1d"},
+        {"Histogram", "Histogram Reduction", "store_instr",
+         {"comparison"}, 1, 5, "histogram"},
+        {"Reduction", "Scalar Reduction", "old_value", {"comparison"}, 0,
+         6, "reduce"},
+        {"FactorizationOpportunity", "Other", "sum", {}, 0, 7, ""},
+    };
+    const auto &table = idioms::idiomTable();
+    ASSERT_EQ(table.size(), std::size(expected));
+    for (size_t i = 0; i < table.size(); ++i) {
+        const idioms::IdiomInfo &row = table[i];
+        std::string claims;
+        for (const auto &v : row.claimVars)
+            claims += (claims.empty() ? "\"" : ", \"") + v + "\"";
+        std::ostringstream actual;
+        actual << "{\"" << row.name << "\", \""
+               << idioms::idiomClassName(row.cls) << "\", \""
+               << row.anchor << "\", {" << claims << "}, "
+               << row.minReads << ", " << i << ", \"" << row.rewriteKind
+               << "\"},";
+        const Row &want = expected[i];
+        EXPECT_TRUE(row.name == want.name &&
+                    idioms::idiomClassName(row.cls) ==
+                        std::string(want.cls) &&
+                    row.anchor == want.anchor &&
+                    row.claimVars == want.claimVars &&
+                    row.minReads == want.minReads && i == want.rank &&
+                    row.rewriteKind == want.rewriteKind)
+            << "actual row: " << actual.str();
+        EXPECT_EQ(idioms::findIdiom(row.name), &row);
+    }
+    EXPECT_EQ(idioms::findIdiom("SESE"), nullptr);
+}
+
+// Every replacement kind of the table has a host handler.
+TEST(Binder, EveryTableKindBinds)
+{
+    ir::Module module;
+    interp::Memory mem;
+    interp::Interpreter interp(module, mem);
+    for (const idioms::IdiomInfo &row : idioms::idiomTable()) {
+        if (row.rewriteKind.empty())
+            continue;
+        transform::Replacement rep;
+        rep.kind = row.rewriteKind;
+        rep.calleeName = "__bound_" + row.rewriteKind;
+        EXPECT_NO_THROW(transform::bindReplacements(interp, {rep}))
+            << row.rewriteKind;
+    }
+}
+
+// A replacement no handler exists for fails when it is bound, not
+// when (or if) its call site runs.
+TEST(Binder, UnknownKindIsFatal)
+{
+    ir::Module module;
+    interp::Memory mem;
+    interp::Interpreter interp(module, mem);
+    transform::Replacement rep;
+    rep.kind = "bogus";
+    rep.calleeName = "__hetero_bogus_0";
+    try {
+        transform::bindReplacements(interp, {rep});
+        FAIL() << "expected FatalError for an unknown kind";
+    } catch (const FatalError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("'bogus'"), std::string::npos) << what;
+        EXPECT_NE(what.find("'__hetero_bogus_0'"), std::string::npos)
+            << what;
+    }
+}

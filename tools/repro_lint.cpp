@@ -222,10 +222,10 @@ main(int argc, char **argv)
     };
     std::vector<Coverage> coverage;
     size_t undercovered = 0;
-    for (const auto &name : idioms::rootIdiomNames()) {
+    for (const idioms::IdiomInfo &row : idioms::idiomTable()) {
         Coverage c;
-        c.idiom = name;
-        c.cls = idioms::idiomClassOf(name);
+        c.idiom = row.name;
+        c.cls = row.cls;
         c.targets = runtime::legalTargets(c.cls);
         if (c.targets.size() < 2)
             ++undercovered;
