@@ -27,8 +27,6 @@ struct WorkloadDescriptor
     double bytes = 0.0;
     /** Distinct array footprint (per base pointer, max extent). */
     double transferBytes = 0.0;
-    /** Entries of the nest per program run. */
-    double invocations = 1.0;
 };
 
 /**

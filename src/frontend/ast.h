@@ -37,9 +37,6 @@ struct TypeSpec
     /** Array dimensions, outermost first; 0 encodes an unsized first
      *  dimension (function parameters: decays to a pointer). */
     std::vector<int64_t> dims;
-
-    bool isArray() const { return !dims.empty(); }
-    bool isPointerLike() const { return pointerDepth > 0 || isArray(); }
 };
 
 // Expressions --------------------------------------------------------------
@@ -52,7 +49,8 @@ struct Expr
         FloatLit,
         VarRef,
         Index,     ///< base[index]
-        Unary,     ///< -x, !x, *p, ++x, --x
+        Unary,     ///< -x, !x, ~x, +x, *p
+        Cast,      ///< (type) x
         Binary,    ///< arithmetic / comparison / logical
         Assign,    ///< lhs = rhs, also compound ops
         Call,
@@ -73,6 +71,9 @@ struct Expr
 
     // Operator text for Unary/Binary/Assign/PostIncDec.
     std::string op;
+
+    // Cast: the target type.
+    TypeSpec castType;
 
     std::vector<std::unique_ptr<Expr>> children;
 

@@ -1,6 +1,7 @@
 #include "frontend/codegen.h"
 
 #include <map>
+#include <set>
 #include <vector>
 
 #include "ir/irbuilder.h"
@@ -15,13 +16,6 @@ using ir::Type;
 using ir::Value;
 
 namespace {
-
-/** A named entity visible to expressions. */
-struct Symbol
-{
-    Value *address = nullptr; ///< pointer to storage
-    TypeSpec ctype;
-};
 
 /** Code generator for one translation unit. */
 class CodeGen
@@ -129,138 +123,6 @@ class CodeGen
         return arr;
     }
 
-    static TypeSpec
-    removeOneIndex(TypeSpec spec)
-    {
-        if (!spec.dims.empty())
-            spec.dims.erase(spec.dims.begin());
-        else if (spec.pointerDepth > 0)
-            --spec.pointerDepth;
-        return spec;
-    }
-
-    // Expression C types ---------------------------------------------------
-
-    TypeSpec
-    exprCType(const Expr &e)
-    {
-        switch (e.kind) {
-          case Expr::Kind::IntLit: {
-            TypeSpec t;
-            t.base = e.intValue > 0x7fffffffLL ? BaseType::Long
-                                               : BaseType::Int;
-            return t;
-          }
-          case Expr::Kind::FloatLit: {
-            TypeSpec t;
-            t.base = e.isFloat32 ? BaseType::Float : BaseType::Double;
-            return t;
-          }
-          case Expr::Kind::VarRef: {
-            Symbol *sym = lookup(e.name);
-            if (!sym)
-                fail(e.loc, "unknown variable '" + e.name + "'");
-            return sym->ctype;
-          }
-          case Expr::Kind::Index:
-            return removeOneIndex(exprCType(*e.children[0]));
-          case Expr::Kind::Unary:
-            if (e.op == "*")
-                return removeOneIndex(exprCType(*e.children[0]));
-            if (e.op == "!") {
-                TypeSpec t;
-                t.base = BaseType::Int;
-                return t;
-            }
-            if (e.op.rfind("cast:", 0) == 0)
-                return castTypeOf(e.op);
-            return exprCType(*e.children[0]);
-          case Expr::Kind::Binary: {
-            if (e.op == "&&" || e.op == "||" || e.op == "==" ||
-                e.op == "!=" || e.op == "<" || e.op == "<=" ||
-                e.op == ">" || e.op == ">=") {
-                TypeSpec t;
-                t.base = BaseType::Int;
-                return t;
-            }
-            return promote(exprCType(*e.children[0]),
-                           exprCType(*e.children[1]));
-          }
-          case Expr::Kind::Assign:
-          case Expr::Kind::PostIncDec:
-            return exprCType(*e.children[0]);
-          case Expr::Kind::Ternary:
-            return promote(exprCType(*e.children[1]),
-                           exprCType(*e.children[2]));
-          case Expr::Kind::Call: {
-            ir::Function *callee = module_.functionByName(e.name);
-            TypeSpec t;
-            if (!callee) {
-                t.base = BaseType::Double;
-                return t;
-            }
-            Type *rt = callee->returnType();
-            t.base = baseOfIR(rt);
-            return t;
-          }
-        }
-        TypeSpec t;
-        return t;
-    }
-
-    static BaseType
-    baseOfIR(Type *t)
-    {
-        switch (t->kind()) {
-          case Type::Kind::I32: return BaseType::Int;
-          case Type::Kind::I64: return BaseType::Long;
-          case Type::Kind::Float: return BaseType::Float;
-          case Type::Kind::Double: return BaseType::Double;
-          default: return BaseType::Void;
-        }
-    }
-
-    TypeSpec
-    castTypeOf(const std::string &op)
-    {
-        std::string name = op.substr(5);
-        TypeSpec t;
-        while (!name.empty() && name.back() == '*') {
-            ++t.pointerDepth;
-            name.pop_back();
-        }
-        if (name == "int")
-            t.base = BaseType::Int;
-        else if (name == "long")
-            t.base = BaseType::Long;
-        else if (name == "float")
-            t.base = BaseType::Float;
-        else
-            t.base = BaseType::Double;
-        return t;
-    }
-
-    static TypeSpec
-    promote(const TypeSpec &a, const TypeSpec &b)
-    {
-        if (a.isPointerLike())
-            return a;
-        if (b.isPointerLike())
-            return b;
-        TypeSpec t;
-        auto rank = [](BaseType bt) {
-            switch (bt) {
-              case BaseType::Int: return 0;
-              case BaseType::Long: return 1;
-              case BaseType::Float: return 2;
-              case BaseType::Double: return 3;
-              default: return 0;
-            }
-        };
-        t.base = rank(a.base) >= rank(b.base) ? a.base : b.base;
-        return t;
-    }
-
     // Value conversion ------------------------------------------------------
 
     Value *
@@ -284,8 +146,6 @@ class CodeGen
                 return builder_.cast(Opcode::FPExt, v, to);
             return builder_.cast(Opcode::FPTrunc, v, to);
         }
-        if (from->isPointer() && to->isPointer())
-            return v; // MiniC pointers are interchangeable addresses
         fail(loc, "cannot convert " + from->str() + " to " + to->str());
     }
 
@@ -325,18 +185,19 @@ class CodeGen
         return v;
     }
 
-    // Symbol handling ---------------------------------------------------------
+    // Variables ---------------------------------------------------------------
 
-    Symbol *
-    lookup(const std::string &name)
+    /** Address of the storage of the variable @p e names. */
+    Value *
+    variable(const Expr &e)
     {
-        auto it = locals_.find(name);
+        auto it = locals_.find(e.name);
         if (it != locals_.end())
-            return &it->second;
-        auto git = globals_.find(name);
+            return it->second;
+        auto git = globals_.find(e.name);
         if (git != globals_.end())
-            return &git->second;
-        return nullptr;
+            return git->second;
+        fail(e.loc, "unknown variable '" + e.name + "'");
     }
 
     // Function generation ------------------------------------------------------
@@ -354,12 +215,8 @@ class CodeGen
 
         // Globals become symbols on first function (idempotent).
         globals_.clear();
-        for (const auto &g : unit_.globals) {
-            Symbol sym;
-            sym.address = module_.globalByName(g.name);
-            sym.ctype = g.type;
-            globals_[g.name] = sym;
-        }
+        for (const auto &g : unit_.globals)
+            globals_[g.name] = module_.globalByName(g.name);
 
         // Spill parameters into allocas (promoted again by mem2reg).
         for (size_t i = 0; i < decl.params.size(); ++i) {
@@ -368,10 +225,7 @@ class CodeGen
             ir::Instruction *slot = builder_.alloca_(
                 arg->type(), p.name + ".addr");
             builder_.store(arg, slot);
-            Symbol sym;
-            sym.address = slot;
-            sym.ctype = p.type;
-            locals_[p.name] = sym;
+            locals_[p.name] = slot;
         }
 
         genStmt(*decl.body);
@@ -407,10 +261,7 @@ class CodeGen
             Type *t = irTypeOf(stmt.declType, false);
             ir::Instruction *slot =
                 builder_.alloca_(t, stmt.declName + ".addr");
-            Symbol sym;
-            sym.address = slot;
-            sym.ctype = stmt.declType;
-            locals_[stmt.declName] = sym;
+            locals_[stmt.declName] = slot;
             if (stmt.init) {
                 Value *v = genExpr(*stmt.init);
                 builder_.store(convert(v, t, stmt.loc), slot);
@@ -423,10 +274,17 @@ class CodeGen
           case Stmt::Kind::Return: {
             if (stmt.expr) {
                 Value *v = genExpr(*stmt.expr);
+                if (v->type()->isVoid() && func_->returnType()->isVoid()) {
+                    fail(stmt.loc, "void function '" + func_->name() +
+                                       "' should not return a value");
+                }
                 builder_.ret(
                     convert(v, func_->returnType(), stmt.loc));
-            } else {
+            } else if (func_->returnType()->isVoid()) {
                 builder_.retVoid();
+            } else {
+                fail(stmt.loc, "non-void function '" + func_->name() +
+                                   "' should return a value");
             }
             break;
           }
@@ -553,40 +411,97 @@ class CodeGen
 
     // Expressions ---------------------------------------------------------------
 
+    static bool
+    isLValue(const Expr &e)
+    {
+        return e.kind == Expr::Kind::VarRef || e.kind == Expr::Kind::Index ||
+               (e.kind == Expr::Kind::Unary && e.op == "*");
+    }
+
+    /** @p v, which @p e subscripts or dereferences, if it is a pointer. */
+    Value *
+    pointer(Value *v, const Expr &e)
+    {
+        if (!v->type()->isPointer()) {
+            fail(e.loc, std::string(e.kind == Expr::Kind::Index
+                                        ? "subscripted"
+                                        : "dereferenced") +
+                            " value of type " + v->type()->str() +
+                            " is not a pointer or array");
+        }
+        return v;
+    }
+
+    /**
+     * Rvalue of the lvalue @p e stored at @p addr: an array decays to a
+     * pointer to its first element, anything else is loaded.
+     */
+    Value *
+    rvalue(const Expr &e, Value *addr)
+    {
+        if (addr->type()->element()->isArray())
+            return builder_.gep(addr, {builder_.i64(0), builder_.i64(0)});
+        return builder_.load(addr,
+                             e.kind == Expr::Kind::VarRef ? e.name : "");
+    }
+
+    /**
+     * A located error unless operator @p e takes operands of type @p t:
+     * `%`, the bitwise operators and the shifts take integers, the
+     * other arithmetic operators integers or floating point.
+     */
+    void
+    checkOperands(const Expr &e, Type *t)
+    {
+        static const std::set<std::string> integer_only = {
+            "%", "&", "|", "^", "<<", ">>", "~", "%="};
+        if (t->isInteger() ||
+            (t->isFloatingPoint() && !integer_only.count(e.op)))
+            return;
+        fail(e.loc, "invalid operand type " + t->str() + " for '" + e.op +
+                        "'");
+    }
+
     /** Address of an lvalue expression. */
     Value *
     genLValue(const Expr &e)
     {
         switch (e.kind) {
-          case Expr::Kind::VarRef: {
-            Symbol *sym = lookup(e.name);
-            if (!sym)
-                fail(e.loc, "unknown variable '" + e.name + "'");
-            return sym->address;
-          }
+          case Expr::Kind::VarRef:
+            return variable(e);
           case Expr::Kind::Index: {
             const Expr &base = *e.children[0];
-            TypeSpec base_ctype = exprCType(base);
-            Value *idx = genExpr(*e.children[1]);
-            idx = fromBool(idx);
+            Value *idx = fromBool(genExpr(*e.children[1]));
             if (idx->type() == module_.types().i32Ty()) {
                 idx = builder_.cast(Opcode::SExt, idx,
                                     module_.types().i64Ty());
             }
-            if (base_ctype.isArray()) {
+            // An array is indexed in place, anything else as a pointer.
+            Value *array = nullptr;
+            Value *ptr = nullptr;
+            if (isLValue(base)) {
                 Value *addr = genLValue(base);
-                return builder_.gep(addr, {builder_.i64(0), idx});
+                if (addr->type()->element()->isArray())
+                    array = addr;
+                else
+                    ptr = pointer(rvalue(base, addr), e);
+            } else {
+                ptr = pointer(genExpr(base), e);
             }
-            Value *ptr = genExpr(base);
+            if (!idx->type()->isInteger())
+                fail(e.loc, "array subscript is not an integer");
+            if (array)
+                return builder_.gep(array, {builder_.i64(0), idx});
             return builder_.gep(ptr, {idx});
           }
           case Expr::Kind::Unary:
             if (e.op == "*")
-                return genExpr(*e.children[0]);
-            fail(e.loc, "expression is not an lvalue");
+                return pointer(genExpr(*e.children[0]), e);
+            break;
           default:
-            fail(e.loc, "expression is not an lvalue");
+            break;
         }
+        fail(e.loc, "expression is not an lvalue");
     }
 
     /** Rvalue of an expression. */
@@ -605,29 +520,19 @@ class CodeGen
                                   : module_.types().doubleTy();
             return module_.fpConst(t, e.floatValue);
           }
-          case Expr::Kind::VarRef: {
-            Symbol *sym = lookup(e.name);
-            if (!sym)
-                fail(e.loc, "unknown variable '" + e.name + "'");
-            if (sym->ctype.isArray()) {
-                // Array-to-pointer decay.
-                return builder_.gep(sym->address,
-                                    {builder_.i64(0), builder_.i64(0)});
-            }
-            return builder_.load(sym->address, e.name);
-          }
-          case Expr::Kind::Index: {
-            TypeSpec ctype = exprCType(e);
-            Value *addr = genLValue(e);
-            if (ctype.isArray()) {
-                // Indexing a multi-dim array partially: decay again.
-                return builder_.gep(addr,
-                                    {builder_.i64(0), builder_.i64(0)});
-            }
-            return builder_.load(addr);
-          }
+          case Expr::Kind::VarRef:
+          case Expr::Kind::Index:
+            return rvalue(e, genLValue(e));
           case Expr::Kind::Unary:
+            if (e.op == "*")
+                return rvalue(e, genLValue(e));
             return genUnary(e);
+          case Expr::Kind::Cast: {
+            Value *v = fromBool(genExpr(*e.children[0]));
+            if (e.castType.pointerDepth > 0)
+                return v; // the IR has no pointer-to-pointer cast
+            return convert(v, irTypeOf(e.castType, true), e.loc);
+          }
           case Expr::Kind::Binary:
             return genBinary(e);
           case Expr::Kind::Assign:
@@ -635,6 +540,12 @@ class CodeGen
           case Expr::Kind::PostIncDec: {
             Value *addr = genLValue(*e.children[0]);
             Value *old = builder_.load(addr);
+            if (old->type()->isPointer()) {
+                Value *step = builder_.i64(e.op == "++" ? 1 : -1);
+                builder_.store(builder_.gep(old, {step}), addr);
+                return old;
+            }
+            checkOperands(e, old->type());
             Value *one =
                 old->type()->isFloatingPoint()
                     ? static_cast<Value *>(
@@ -655,9 +566,17 @@ class CodeGen
             Value *cond = toBool(genExpr(*e.children[0]), e.loc);
             Value *a = genExpr(*e.children[1]);
             Value *b = genExpr(*e.children[2]);
-            Type *t = irTypeOf(exprCType(e), true);
-            a = convert(fromBool(a), t, e.loc);
-            b = convert(fromBool(b), t, e.loc);
+            a = fromBool(a);
+            // A pointer arm gives the result type, else the wider arm.
+            Type *t = a->type()->isPointer()   ? a->type()
+                      : b->type()->isPointer() ? b->type()
+                                               : promoteIR(a->type(),
+                                                           b->type());
+            // Two pointers select as addresses, whatever they point to.
+            if (!a->type()->isPointer() || !b->type()->isPointer()) {
+                a = convert(a, t, e.loc);
+                b = convert(fromBool(b), t, e.loc);
+            }
             return builder_.select(cond, a, b);
           }
           case Expr::Kind::Call:
@@ -669,25 +588,15 @@ class CodeGen
     Value *
     genUnary(const Expr &e)
     {
-        if (e.op == "*") {
-            Value *ptr = genExpr(*e.children[0]);
-            return builder_.load(ptr);
-        }
         if (e.op == "!") {
             Value *v = toBool(genExpr(*e.children[0]), e.loc);
             return builder_.icmp(CmpPred::EQ, v, builder_.i1(false));
-        }
-        if (e.op.rfind("cast:", 0) == 0) {
-            Value *v = fromBool(genExpr(*e.children[0]));
-            TypeSpec target = castTypeOf(e.op);
-            if (target.pointerDepth > 0)
-                return v;
-            return convert(v, irTypeOf(target, true), e.loc);
         }
         if (e.op == "+")
             return genExpr(*e.children[0]);
         if (e.op == "-") {
             Value *v = fromBool(genExpr(*e.children[0]));
+            checkOperands(e, v->type());
             if (v->type()->isFloatingPoint()) {
                 return builder_.fsub(module_.fpConst(v->type(), 0.0),
                                      v);
@@ -696,6 +605,7 @@ class CodeGen
         }
         if (e.op == "~") {
             Value *v = fromBool(genExpr(*e.children[0]));
+            checkOperands(e, v->type());
             return builder_.binary(Opcode::Xor, v,
                                    module_.intConst(v->type(), -1));
         }
@@ -725,8 +635,11 @@ class CodeGen
         }
 
         Type *common = promoteIR(lhs->type(), rhs->type());
-        lhs = convert(lhs, common, e.loc);
-        rhs = convert(rhs, common, e.loc);
+        // Two pointers compare as addresses, whatever they point to.
+        if (!lhs->type()->isPointer() || !rhs->type()->isPointer()) {
+            lhs = convert(lhs, common, e.loc);
+            rhs = convert(rhs, common, e.loc);
+        }
 
         bool is_fp = common->isFloatingPoint();
         if (e.op == "==" || e.op == "!=" || e.op == "<" ||
@@ -748,6 +661,7 @@ class CodeGen
                          : builder_.icmp(pred, lhs, rhs);
         }
 
+        checkOperands(e, common);
         Opcode op;
         if (e.op == "+")
             op = is_fp ? Opcode::FAdd : Opcode::Add;
@@ -771,10 +685,6 @@ class CodeGen
             op = Opcode::AShr;
         else
             fail(e.loc, "unsupported binary operator '" + e.op + "'");
-        if (!is_fp && common->isI1()) {
-            lhs = convert(lhs, module_.types().i32Ty(), e.loc);
-            rhs = convert(rhs, module_.types().i32Ty(), e.loc);
-        }
         return builder_.binary(op, lhs, rhs);
     }
 
@@ -835,6 +745,7 @@ class CodeGen
             Type *common = promoteIR(old->type(), rhs->type());
             Value *a = convert(old, common, e.loc);
             Value *b = convert(rhs, common, e.loc);
+            checkOperands(e, common);
             bool is_fp = common->isFloatingPoint();
             Opcode op;
             if (e.op == "+=")
@@ -854,7 +765,6 @@ class CodeGen
         builder_.store(result, addr);
         return result;
     }
-
     Value *
     genCall(const Expr &e)
     {
@@ -881,8 +791,9 @@ class CodeGen
     DiagEngine &diags_;
 
     ir::Function *func_ = nullptr;
-    std::map<std::string, Symbol> locals_;
-    std::map<std::string, Symbol> globals_;
+    /** Storage address of each variable in scope, by name. */
+    std::map<std::string, Value *> locals_;
+    std::map<std::string, Value *> globals_;
     std::vector<BasicBlock *> breakTargets_;
     std::vector<BasicBlock *> continueTargets_;
 };

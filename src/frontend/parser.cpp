@@ -597,11 +597,10 @@ class Parser
         }
         if (t.isPunct("(") && isCastAhead()) {
             next(); // (
-            TypeSpec type = parseTypePrefix();
-            expectPunct(")");
-            auto e = std::make_unique<Expr>(Expr::Kind::Unary);
+            auto e = std::make_unique<Expr>(Expr::Kind::Cast);
             e->loc = t.loc;
-            e->op = "cast:" + castName(type);
+            e->castType = parseTypePrefix();
+            expectPunct(")");
             e->children.push_back(parseUnary());
             return sealed(std::move(e));
         }
@@ -615,22 +614,6 @@ class Parser
         const Token &t1 = peek(1);
         return t1.isKeyword("int") || t1.isKeyword("long") ||
                t1.isKeyword("float") || t1.isKeyword("double");
-    }
-
-    static std::string
-    castName(const TypeSpec &type)
-    {
-        std::string out;
-        switch (type.base) {
-          case BaseType::Int: out = "int"; break;
-          case BaseType::Long: out = "long"; break;
-          case BaseType::Float: out = "float"; break;
-          case BaseType::Double: out = "double"; break;
-          case BaseType::Void: out = "void"; break;
-        }
-        for (int i = 0; i < type.pointerDepth; ++i)
-            out += "*";
-        return out;
     }
 
     ExprPtr

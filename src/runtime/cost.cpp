@@ -46,8 +46,6 @@ predictMs(Platform p, Api api, const analysis::WorkloadDescriptor &wd,
     work.flops = wd.flops;
     work.bytes = wd.bytes;
     work.transferBytes = wd.transferBytes;
-    work.invocations =
-        std::max(1, static_cast<int>(wd.invocations + 0.5));
     work.offloadFraction = 1.0;
     work.cls = cls;
     std::optional<double> t = apiTimeOn(p, api, work, false);

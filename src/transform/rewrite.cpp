@@ -538,11 +538,6 @@ planStencil(RewritePlan &plan, const Frame &f)
             f.natural, {sol.lookup("write.store_instr")}, true)) {
         return false;
     }
-    // A Jacobi-style stencil must not update in place.
-    for (Value *base : *bases) {
-        if (base == write_base)
-            return false;
-    }
 
     std::vector<const Value *> inputs(reads.begin(), reads.end());
     // The kernel region is the innermost loop body.

@@ -221,3 +221,104 @@ TEST(Nesting, LimitIsExact)
                            " return a; }"),
               "");
 }
+
+// Ill-typed programs are located compile errors from codegen, never
+// an InternalError out of the IR builder or a rejection by the final
+// verifier (which carries no line or column).
+TEST(TypeErrors, IllTypedProgramsAreLocatedErrors)
+{
+    struct Case
+    {
+        const char *source;
+        const char *diagnostic;
+    };
+    const Case cases[] = {
+        {"int f(int *a) { return a[0][0]; }",
+         "error at 1:28: subscripted value of type i32 is not a pointer "
+         "or array"},
+        {"int h(int a) { return *a; }",
+         "error at 1:23: dereferenced value of type i32 is not a pointer "
+         "or array"},
+        {"void k(int a) { a[0] = 1; }",
+         "error at 1:18: subscripted value of type i32 is not a pointer "
+         "or array"},
+        {"void k(int a) { *a = 1; }",
+         "error at 1:17: dereferenced value of type i32 is not a pointer "
+         "or array"},
+        {"double f(double *p) { return p[0.5]; }",
+         "error at 1:31: array subscript is not an integer"},
+        {"int f(double d) { return d % 2; }",
+         "error at 1:28: invalid operand type double for '%'"},
+        {"int f(double d) { return d & 1; }",
+         "error at 1:28: invalid operand type double for '&'"},
+        {"int f(double d) { return d | 1; }",
+         "error at 1:28: invalid operand type double for '|'"},
+        {"int f(double d) { return d ^ 1; }",
+         "error at 1:28: invalid operand type double for '^'"},
+        {"int f(double d) { return d << 1; }",
+         "error at 1:28: invalid operand type double for '<<'"},
+        {"int f(double d) { return d >> 1; }",
+         "error at 1:28: invalid operand type double for '>>'"},
+        {"int f(float d) { return ~d; }",
+         "error at 1:25: invalid operand type float for '~'"},
+        {"void f(double d) { d %= 2; }",
+         "error at 1:22: invalid operand type double for '%='"},
+        {"int f(double *p, double *q) { return p - q; }",
+         "error at 1:40: invalid operand type double* for '-'"},
+        {"int f(int a) { return; }",
+         "error at 1:16: non-void function 'f' should return a value"},
+        {"void g(); void f() { return g(); }",
+         "error at 1:22: void function 'f' should not return a value"},
+        {"double *f(int *q) { return q; }",
+         "error at 1:21: cannot convert i32* to double*"},
+    };
+    for (const Case &c : cases) {
+        EXPECT_EQ(compileError(c.source), c.diagnostic) << c.source;
+        // Boundary verification after codegen changes nothing: the
+        // error comes before any IR is verified.
+        ir::Module module;
+        DiagEngine diags;
+        EXPECT_FALSE(frontend::compileMiniC(c.source, module, diags,
+                                            ir::VerifyMode::Boundaries));
+    }
+}
+
+// Array parameters decay to pointers: `T a[]`, `T a[N]` and
+// `T a[][M]` compile as `T *`, `T *` and `[M x T] *` and index like
+// the arrays they stand for.
+TEST(TypeErrors, ArrayParametersDecayToPointers)
+{
+    const char *src = R"(
+        double f(double a[][4], double x[], double y[2], int i) {
+            double *row = a[i];
+            double *p = x;
+            p++;
+            y[1] = a[i][3] + *a[1] + **a;
+            return row[2] + *p + x[0] + y[1] + (i > 0 ? a[0] : x)[1];
+        }
+    )";
+    ir::Module module;
+    frontend::compileMiniCOrDie(src, module, ir::VerifyMode::Boundaries);
+    ir::Function *f = module.functionByName("f");
+    ASSERT_NE(f, nullptr);
+    EXPECT_EQ(f->arg(0)->type()->str(), "[4 x double]*");
+    EXPECT_EQ(f->arg(1)->type()->str(), "double*");
+    EXPECT_EQ(f->arg(2)->type()->str(), "double*");
+
+    interp::Memory mem;
+    interp::Interpreter interp(module, mem);
+    uint64_t a = mem.allocate(8 * 8), x = mem.allocate(3 * 8),
+             y = mem.allocate(2 * 8);
+    for (int k = 0; k < 8; ++k)
+        mem.store<double>(a + 8 * k, k);           // a[r][c] = 4r + c
+    for (int k = 0; k < 3; ++k)
+        mem.store<double>(x + 8 * k, 10.0 * (k + 1)); // 10, 20, 30
+    auto r = interp.run(f, {interp::RuntimeValue::makeInt(a),
+                            interp::RuntimeValue::makeInt(x),
+                            interp::RuntimeValue::makeInt(y),
+                            interp::RuntimeValue::makeInt(1)});
+    // y[1] = a[1][3] + a[1][0] + a[0][0] = 7 + 4 + 0
+    EXPECT_DOUBLE_EQ(mem.load<double>(y + 8), 11.0);
+    // row[2] + x[1] + x[0] + y[1] + a[0][1] = 6 + 20 + 10 + 11 + 1
+    EXPECT_DOUBLE_EQ(r.f, 48.0);
+}

@@ -12,6 +12,11 @@
  * service's incremental cache), and the generator itself must be a
  * pure function of its seed.
  *
+ * Seeds past kPlainSeeds use a second template that reaches the same
+ * heap through array parameters (`double a[][8]`, `double b[48]`,
+ * `int c[]`), a local two-dimensional array, casts, nested ternaries
+ * and a ternary between two pointers.
+ *
  * The generator is NaN-avoiding by construction: loop-carried
  * scalars only ever accumulate decayed updates of bounded
  * subexpressions (no `s*s` blowup to infinity, hence no `inf - inf`),
@@ -152,6 +157,134 @@ generate(uint64_t seed)
     return src;
 }
 
+/** Subscripts of the 6 x 8 view of an index in [0, 48). */
+std::string
+cell(const std::string &idx)
+{
+    return "[(" + idx + ") / 8][(" + idx + ") % 8]";
+}
+
+/** A bounded double expression in the array-parameter template. */
+std::string
+typedExpr(Rng &rng, int depth)
+{
+    if (depth <= 0) {
+        switch (rng.pick(7)) {
+          case 0: return "a" + cell(index(rng));
+          case 1: return "b[" + index(rng) + "]";
+          case 2: return "t" + cell(index(rng));
+          case 3: return literal(rng);
+          case 4: return "(double)(int)(b[" + index(rng) + "] * 4.0)";
+          case 5: return "(double)(float)a" + cell(index(rng));
+          default: return "(double)(long)c[i]";
+        }
+    }
+    std::string lhs = typedExpr(rng, depth - 1);
+    std::string rhs = typedExpr(rng, depth - 1);
+    switch (rng.pick(4)) {
+      case 0: return "(" + lhs + " + " + rhs + ")";
+      case 1: return "(" + lhs + " * " + rhs + ")";
+      case 2:
+        return "(" + lhs + " / (1.5 + (" + rhs + ") * (" + rhs + ")))";
+      default:
+        return "(c[i] < " + std::to_string(1 + rng.pick(3)) + " ? " +
+               lhs + " : (c[i] < " + std::to_string(4 + rng.pick(3)) +
+               " ? " + rhs + " : " + literal(rng) + "))";
+    }
+}
+
+/** One loop-body statement of the array-parameter template. */
+std::string
+typedStatement(Rng &rng, int id)
+{
+    std::string s = "s" + std::to_string(rng.pick(kScalars));
+    std::string e = typedExpr(rng, static_cast<int>(rng.pick(3)));
+    switch (rng.pick(6)) {
+      case 0: return s + " = " + s + " + " + e + ";";
+      case 1: return "a" + cell(index(rng)) + " = " + e + ";";
+      case 2: {
+        std::string t = "t" + cell(index(rng));
+        return t + " = 0.5 * " + t + " + " + e + ";";
+      }
+      case 3: return s + " = 0.25 * " + s + " + " + e + ";";
+      case 4: {
+        std::string p = "p" + std::to_string(id);
+        return "double *" + p + " = c[i] < " +
+               std::to_string(1 + rng.pick(6)) + " ? b : a[" +
+               std::to_string(rng.pick(6)) + "]; " + s + " = " + s +
+               " + 0.5 * " + p + "[i % 8];";
+      }
+      default:
+        return "b[i] = b[i] + 0.5 * (" + e + ");";
+    }
+}
+
+/** A program of the array-parameter template: a function of the seed. */
+std::string
+generateTyped(uint64_t seed)
+{
+    Rng rng{seed * 0x9e3779b97f4a7c15ULL + 0xa77a1};
+    std::string src =
+        "double fuzz(int n, double a[][8], double b[48], int c[]) {\n"
+        "    double t[6][8];\n"
+        "    for (int i = 0; i < n; i++)\n"
+        "        t[i / 8][i % 8] = 0.5 * a[i / 8][i % 8];\n";
+    for (int s = 0; s < kScalars; ++s)
+        src += "    double s" + std::to_string(s) + " = " +
+               literal(rng) + ";\n";
+    int loops = 1 + static_cast<int>(rng.pick(3));
+    int id = 0;
+    for (int l = 0; l < loops; ++l) {
+        if (rng.pick(3) == 0) {
+            // A nest over the two-dimensional views.
+            std::string s = "s" + std::to_string(rng.pick(kScalars));
+            std::string w = "w" + std::to_string(l);
+            switch (rng.pick(3)) {
+              case 0:
+                src += "    for (int r = 0; r < 6; r++) {\n"
+                       "        double " + w + " = 0.0;\n"
+                       "        for (int j = 0; j < 8; j++)\n"
+                       "            " + w + " = " + w +
+                       " + a[r][j] * b[j];\n"
+                       "        " + s + " = " + s + " + 0.25 * " + w +
+                       ";\n"
+                       "    }\n";
+                break;
+              case 1:
+                src += "    for (int r = 1; r < 5; r++)\n"
+                       "        for (int j = 1; j < 7; j++)\n"
+                       "            t[r][j] = 0.25 * (a[r - 1][j] + "
+                       "a[r + 1][j] + a[r][j - 1] + a[r][j + 1]);\n";
+                break;
+              default:
+                src += "    for (int r = 0; r < 6; r++)\n"
+                       "        for (int j = 0; j < 8; j++)\n"
+                       "            t[r][j] = 0.5 * t[r][j] + "
+                       "(double)(float)a[r][j];\n";
+                break;
+            }
+            continue;
+        }
+        src += "    for (int i = 0; i < n; i++) {\n";
+        int stmts = 1 + static_cast<int>(rng.pick(4));
+        for (int st = 0; st < stmts; ++st)
+            src += "        " + typedStatement(rng, id++) + "\n";
+        src += "    }\n";
+    }
+    src += "    return s0 + s1 + s2 + t[1][2];\n}\n";
+    return src;
+}
+
+/** Seeds of the first template; later seeds use the second. */
+constexpr uint64_t kPlainSeeds = 25;
+constexpr uint64_t kSeeds = 40;
+
+std::string
+program(uint64_t seed)
+{
+    return seed <= kPlainSeeds ? generate(seed) : generateTyped(seed);
+}
+
 constexpr int kN = 48;
 
 struct Heap
@@ -189,8 +322,8 @@ arrayBytes(interp::Memory &mem, uint64_t addr, uint64_t len)
 
 TEST(FuzzDifferential, EnginesAgreeOnGeneratedPrograms)
 {
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        std::string src = generate(seed);
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::string src = program(seed);
         SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + src);
 
         ir::Module module;
@@ -237,8 +370,8 @@ TEST(FuzzDifferential, VerifierCleanAtEveryPassBoundary)
     // every rewrite commit. Any malformed IR at any boundary throws
     // InternalError, which fails the test — over the whole corpus,
     // not just the 21 curated suite programs.
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        std::string src = generate(seed);
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::string src = program(seed);
         SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + src);
 
         ir::Module module;
@@ -271,8 +404,8 @@ TEST(FuzzDifferential, VerifierCleanAtEveryPassBoundary)
 
 TEST(FuzzDifferential, RecompileReproducesContentHash)
 {
-    for (uint64_t seed = 1; seed <= 25; ++seed) {
-        std::string src = generate(seed);
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        std::string src = program(seed);
         SCOPED_TRACE("seed " + std::to_string(seed));
 
         ir::Module first, second, reused;
@@ -308,9 +441,10 @@ TEST(FuzzDifferential, RecompileReproducesContentHash)
 
 TEST(FuzzDifferential, GeneratorIsDeterministic)
 {
-    for (uint64_t seed = 1; seed <= 10; ++seed)
-        EXPECT_EQ(generate(seed), generate(seed)) << seed;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed)
+        EXPECT_EQ(program(seed), program(seed)) << seed;
     // Distinct seeds must explore distinct programs (not a collapsed
     // stream), otherwise the sweep above is one test case repeated.
     EXPECT_NE(generate(1), generate(2));
+    EXPECT_NE(generateTyped(26), generateTyped(27));
 }

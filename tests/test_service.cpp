@@ -589,31 +589,99 @@ TEST(Protocol, StatsCountsReuseAndInvalidIr)
               std::string::npos)
         << transcript;
 
-    // Returns without a value: codegen emits "ret void" in an int
-    // function. Under boundary verification (REPRO_VERIFY=1) the
-    // codegen boundary throws first, an internal error the counter
-    // does not see; otherwise the final verifier rejects the module.
-    if (ir::defaultVerifyMode() == ir::VerifyMode::Boundaries) {
-        EXPECT_THROW(svc.submit("editsess", "int f() { return; }"),
-                     InternalError);
-        EXPECT_EQ(svc.serviceCounters().invalidIr, 0u);
-        return;
-    }
+    // A return without a value in an int function is a located
+    // compile error, not a verifier rejection: invalid_ir stays 0
+    // under either VerifyMode.
     service::SubmitOutcome bad = svc.submit("editsess", "int f() { return; }");
     EXPECT_FALSE(bad.ok);
-    EXPECT_EQ(bad.error.rfind("error: invalid-ir rule=op-type "
-                              "function=@f",
-                              0),
-              0u)
-        << bad.error;
+    EXPECT_EQ(bad.error,
+              "error at 1:11: non-void function 'f' should return a value");
     std::istringstream stats("STATS\n");
     std::ostringstream statsOut;
     service::runRepl(svc, stats, statsOut);
     EXPECT_NE(statsOut.str().find(" sessions=1 compile_reused=2 "
-                                  "invalid_ir=1 degraded_budget=0 "
+                                  "invalid_ir=0 degraded_budget=0 "
                                   "degraded_deadline=0\n"),
               std::string::npos)
         << statsOut.str();
+}
+
+// An ill-typed SUBMIT is a located compile error: the connection
+// stays open for the next request and the verifier counter stays 0.
+// An array parameter compiles.
+TEST(Protocol, IllTypedSubmitKeepsConnection)
+{
+    struct Case
+    {
+        const char *source;
+        const char *reply;
+    };
+    const Case cases[] = {
+        {"int f(int *a) { return a[0][0]; }",
+         "ERR error at 1:28: subscripted value of type i32 is not a "
+         "pointer or array"},
+        {"int h(int a) { return *a; }",
+         "ERR error at 1:23: dereferenced value of type i32 is not a "
+         "pointer or array"},
+        {"void k(int a) { a[0] = 1; }",
+         "ERR error at 1:18: subscripted value of type i32 is not a "
+         "pointer or array"},
+        // This one used to kill the daemon with SIGSEGV.
+        {"void k(int a) { *a = 1; }",
+         "ERR error at 1:17: dereferenced value of type i32 is not a "
+         "pointer or array"},
+        {"int f(double d) { return d % 2; }",
+         "ERR error at 1:28: invalid operand type double for '%'"},
+        {"int f(double d) { return d << 1; }",
+         "ERR error at 1:28: invalid operand type double for '<<'"},
+        {"int f(int a) { return; }",
+         "ERR error at 1:16: non-void function 'f' should return a "
+         "value"},
+        {"double f(double a[][8], double x[], int n) {\n"
+         "    double s = 0.0;\n"
+         "    for (int i = 0; i < n; i++)\n"
+         "        s = s + a[i][i] * x[i];\n"
+         "    return s;\n"
+         "}\n",
+         "OK module=typed "},
+    };
+    std::ostringstream script;
+    for (const Case &c : cases) {
+        script << "SUBMIT typed " << std::strlen(c.source) << "\n"
+               << c.source;
+        script << "STATS\n";
+    }
+    script << "QUIT\n";
+
+    service::MatchService svc;
+    std::istringstream in(script.str());
+    std::ostringstream out;
+    const size_t n = sizeof(cases) / sizeof(cases[0]);
+    EXPECT_EQ(service::runRepl(svc, in, out), 2 * n + 1);
+
+    std::vector<std::string> lines;
+    std::istringstream transcript(out.str());
+    for (std::string line; std::getline(transcript, line);)
+        lines.push_back(line);
+    size_t at = 0;
+    for (const Case &c : cases) {
+        ASSERT_LT(at, lines.size());
+        EXPECT_EQ(lines[at].rfind(c.reply, 0), 0u)
+            << c.source << "\n" << lines[at];
+        if (lines[at].rfind("OK ", 0) == 0) {
+            while (at < lines.size() && lines[at] != "END")
+                ++at;
+        }
+        ++at;
+        ASSERT_LT(at, lines.size());
+        EXPECT_EQ(lines[at].rfind("OK entries=", 0), 0u) << lines[at];
+        EXPECT_NE(lines[at].find(" invalid_ir=0 "), std::string::npos)
+            << lines[at];
+        ++at;
+    }
+    ASSERT_LT(at, lines.size());
+    EXPECT_EQ(lines[at], "OK bye");
+    EXPECT_EQ(svc.serviceCounters().invalidIr, 0u);
 }
 
 /** The reply to one STATS request against @p svc. */

@@ -630,6 +630,118 @@ TEST(Transform, NegativeOracleNullTamperMatchesPlainVerify)
     EXPECT_EQ(plain.replacements, hooked.replacements);
 }
 
+namespace {
+
+/**
+ * A kernel over array parameters — a matrix-vector product, a 1D
+ * stencil and a dot product — written either with `double a[][8]`,
+ * `double x[]` and `double y[8]` or, in its twin, with pointers and
+ * flat indexing. Both twins share one setup.
+ */
+benchmarks::BenchmarkProgram
+arrayParamProgram(bool arrays)
+{
+    benchmarks::BenchmarkProgram p;
+    p.name = arrays ? "array-params" : "pointer-params";
+    p.suite = "test";
+    p.entry = "kernel";
+    p.source = arrays ? R"(
+        void kernel(double a[][8], double x[], double y[8], double z[],
+                    double *out) {
+            for (int i = 0; i < 8; i++) {
+                double s = 0.0;
+                for (int j = 0; j < 8; j++)
+                    s = s + a[i][j] * x[j];
+                y[i] = s;
+            }
+            for (int i = 1; i < 7; i++)
+                z[i] = 0.25 * y[i - 1] + 0.5 * y[i] + 0.25 * y[i + 1];
+            double d = 0.0;
+            for (int i = 0; i < 8; i++)
+                d = d + y[i] * x[i];
+            out[0] = d;
+        }
+    )"
+                      : R"(
+        void kernel(double *a, double *x, double *y, double *z,
+                    double *out) {
+            for (int i = 0; i < 8; i++) {
+                double s = 0.0;
+                for (int j = 0; j < 8; j++)
+                    s = s + a[i * 8 + j] * x[j];
+                y[i] = s;
+            }
+            for (int i = 1; i < 7; i++)
+                z[i] = 0.25 * y[i - 1] + 0.5 * y[i] + 0.25 * y[i + 1];
+            double d = 0.0;
+            for (int i = 0; i < 8; i++)
+                d = d + y[i] * x[i];
+            out[0] = d;
+        }
+    )";
+    p.setup = [](interp::Memory &mem) {
+        benchmarks::Instance inst;
+        uint64_t a = mem.allocate(64 * 8), x = mem.allocate(8 * 8),
+                 y = mem.allocate(8 * 8), z = mem.allocate(8 * 8),
+                 out = mem.allocate(8);
+        for (int k = 0; k < 64; ++k)
+            mem.store<double>(a + 8 * k, 0.125 * (k % 11) - 0.5);
+        for (int k = 0; k < 8; ++k)
+            mem.store<double>(x + 8 * k, 1.5 - 0.25 * k);
+        inst.args = {I(a), I(x), I(y), I(z), I(out)};
+        inst.watchDoubles = {{y, 8}, {z, 8}, {out, 1}};
+        return inst;
+    };
+    return p;
+}
+
+/** The watched output bytes of @p p after one run of its entry under
+ *  the bytecode engine, or the reference engine with @p reference. */
+std::vector<uint8_t>
+watchedBytes(const benchmarks::BenchmarkProgram &p, bool reference)
+{
+    ir::Module module;
+    frontend::compileMiniCOrDie(p.source, module);
+    interp::Memory mem;
+    benchmarks::Instance inst = p.setup(mem);
+    interp::Interpreter it(module, mem);
+    interp::registerMathBuiltins(it);
+    ir::Function *entry = module.functionByName(p.entry);
+    if (reference)
+        it.runReference(entry, inst.args);
+    else
+        it.run(entry, inst.args);
+    std::vector<uint8_t> bytes;
+    for (const auto &[addr, n] : inst.watchDoubles) {
+        for (size_t k = 0; k < n; ++k) {
+            double v = mem.load<double>(addr + 8 * k);
+            const auto *b = reinterpret_cast<const uint8_t *>(&v);
+            bytes.insert(bytes.end(), b, b + sizeof v);
+        }
+    }
+    return bytes;
+}
+
+} // namespace
+
+// Array parameters compile as the pointers they decay to: the array
+// kernel computes byte-for-byte what its pointer twin computes, under
+// both engines, and matches and transforms like any other program.
+TEST(Transform, ArrayParametersRunLikePointers)
+{
+    const benchmarks::BenchmarkProgram arrays = arrayParamProgram(true);
+    const benchmarks::BenchmarkProgram pointers = arrayParamProgram(false);
+    const std::vector<uint8_t> expected = watchedBytes(pointers, false);
+    EXPECT_EQ(watchedBytes(pointers, true), expected);
+    EXPECT_EQ(watchedBytes(arrays, false), expected);
+    EXPECT_EQ(watchedBytes(arrays, true), expected);
+
+    driver::MatchingDriver drv;
+    driver::TransformVerification v = drv.verifyTransform(arrays);
+    EXPECT_TRUE(v.ok()) << v.error;
+    EXPECT_GE(v.replacements, 1u);
+}
+
 // Pins every idiomTable() row: class, anchor, claim variables,
 // minimum reads, specificity rank and replacement kind, including
 // cells the suite goldens never exercise (FactorizationOpportunity's
