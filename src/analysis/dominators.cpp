@@ -13,12 +13,30 @@ DomTree::DomTree(Function *func, bool post_dom)
     buildFrontiers();
 }
 
+DomTree::Adjacency::Adjacency(
+    int n, const std::vector<std::pair<int, int>> &edges, bool reversed)
+{
+    start.assign(n + 1, 0);
+    for (const auto &[from, to] : edges)
+        ++start[(reversed ? to : from) + 1];
+    for (int v = 0; v < n; ++v)
+        start[v + 1] += start[v];
+    list.resize(edges.size());
+    std::vector<int> fill(start.begin(), start.end() - 1);
+    for (const auto &[from, to] : edges) {
+        if (reversed)
+            list[fill[to]++] = from;
+        else
+            list[fill[from]++] = to;
+    }
+}
+
 int
 DomTree::indexOf(const BasicBlock *bb) const
 {
-    auto it = nodeIndex_.find(bb);
-    reproAssert(it != nodeIndex_.end(), "DomTree: foreign block");
-    return it->second;
+    int i = nodeIndex_.find(bb);
+    reproAssert(i >= 0, "DomTree: foreign block");
+    return i;
 }
 
 void
@@ -26,51 +44,50 @@ DomTree::build()
 {
     const auto &blocks = func_->blocks();
     int n = static_cast<int>(blocks.size());
+    nodes_.reserve(blocks.size());
+    nodeIndex_.reserve(blocks.size());
     for (int i = 0; i < n; ++i) {
         nodes_.push_back(blocks[i].get());
-        nodeIndex_[blocks[i].get()] = i;
+        nodeIndex_.insert(blocks[i].get(), i);
     }
 
-    // Forward edges at block level.
-    std::vector<std::vector<int>> succ(n + 1), pred(n + 1);
+    // Block-level CFG edges, by source block.
+    std::vector<std::pair<int, int>> edges;
     for (int i = 0; i < n; ++i) {
-        for (BasicBlock *s : blocks[i]->successors()) {
-            succ[i].push_back(indexOf(s));
-            pred[indexOf(s)].push_back(i);
-        }
+        for (BasicBlock *s : blocks[i]->successors())
+            edges.emplace_back(i, indexOf(s));
     }
-
     int num_nodes = n;
     if (!postDom_) {
         root_ = 0;
     } else {
         // Virtual exit node n: incoming from every block whose
-        // terminator is a return.
+        // terminator is a return. The tree is built on the reversed
+        // CFG.
         root_ = n;
         num_nodes = n + 1;
         for (int i = 0; i < n; ++i) {
             ir::Instruction *term = blocks[i]->terminator();
-            if (term && term->is(ir::Opcode::Ret)) {
-                succ[i].push_back(n);
-                pred[n].push_back(i);
-            }
+            if (term && term->is(ir::Opcode::Ret))
+                edges.emplace_back(i, n);
         }
-        std::swap(succ, pred); // reverse the CFG
     }
+    Adjacency succ(num_nodes, edges, postDom_);
+    Adjacency pred(num_nodes, edges, !postDom_);
 
     // Reverse postorder from the root over `succ`.
     std::vector<int> order;
     std::vector<char> seen(num_nodes, 0);
-    std::vector<std::pair<int, size_t>> stack;
-    stack.emplace_back(root_, 0);
+    std::vector<std::pair<int, const int *>> stack;
+    stack.emplace_back(root_, succ.begin(root_));
     seen[root_] = 1;
     while (!stack.empty()) {
         auto &[node, edge] = stack.back();
-        if (edge < succ[node].size()) {
-            int next = succ[node][edge++];
+        if (edge != succ.end(node)) {
+            int next = *edge++;
             if (!seen[next]) {
                 seen[next] = 1;
-                stack.emplace_back(next, 0);
+                stack.emplace_back(next, succ.begin(next));
             }
         } else {
             order.push_back(node);
@@ -103,10 +120,11 @@ DomTree::build()
             if (node == root_)
                 continue;
             int new_idom = -1;
-            for (int p : pred[node]) {
-                if (idom_[p] == -1 || rpoNumber_[p] == -1)
+            for (const int *p = pred.begin(node); p != pred.end(node);
+                 ++p) {
+                if (idom_[*p] == -1 || rpoNumber_[*p] == -1)
                     continue;
-                new_idom = new_idom == -1 ? p : intersect(p, new_idom);
+                new_idom = new_idom == -1 ? *p : intersect(*p, new_idom);
             }
             if (new_idom != -1 && idom_[node] != new_idom) {
                 idom_[node] = new_idom;
@@ -116,6 +134,35 @@ DomTree::build()
     }
 
     preds_ = std::move(pred);
+    numberTree(num_nodes);
+}
+
+void
+DomTree::numberTree(int num_nodes)
+{
+    std::vector<std::pair<int, int>> tree_edges;
+    for (int node = 0; node < num_nodes; ++node) {
+        if (node != root_ && idom_[node] != -1)
+            tree_edges.emplace_back(idom_[node], node);
+    }
+    Adjacency children(num_nodes, tree_edges, false);
+    dfsIn_.assign(num_nodes, -1);
+    dfsOut_.assign(num_nodes, -1);
+    int clock = 0;
+    std::vector<std::pair<int, const int *>> stack;
+    stack.emplace_back(root_, children.begin(root_));
+    dfsIn_[root_] = clock++;
+    while (!stack.empty()) {
+        auto &[node, child] = stack.back();
+        if (child != children.end(node)) {
+            int next = *child++;
+            dfsIn_[next] = clock++;
+            stack.emplace_back(next, children.begin(next));
+        } else {
+            dfsOut_[node] = clock++;
+            stack.pop_back();
+        }
+    }
 }
 
 void
@@ -124,9 +171,10 @@ DomTree::buildFrontiers()
     int n = static_cast<int>(nodes_.size());
     frontiers_.assign(n, {});
     for (int b = 0; b < n; ++b) {
-        if (preds_[b].size() < 2)
+        if (preds_.size(b) < 2)
             continue;
-        for (int p : preds_[b]) {
+        for (const int *it = preds_.begin(b); it != preds_.end(b); ++it) {
+            int p = *it;
             if (idom_[p] == -1 || idom_[b] == -1)
                 continue;
             int runner = p;
@@ -162,19 +210,9 @@ bool
 DomTree::dominates(const BasicBlock *a, const BasicBlock *b) const
 {
     int ia = indexOf(a), ib = indexOf(b);
-    if (idom_[ib] == -1 || rpoNumber_[ib] == -1)
-        return false; // b unreachable
-    int runner = ib;
-    while (true) {
-        if (runner == ia)
-            return true;
-        if (runner == root_ || idom_[runner] == -1)
-            return false;
-        int next = idom_[runner];
-        if (next == runner)
-            return runner == ia;
-        runner = next;
-    }
+    if (dfsIn_[ia] == -1 || dfsIn_[ib] == -1)
+        return false; // unreachable
+    return dfsIn_[ia] <= dfsIn_[ib] && dfsOut_[ib] <= dfsOut_[ia];
 }
 
 bool
@@ -189,7 +227,7 @@ DomTree::dominates(const Instruction *a, const Instruction *b) const
         int ib = bb->indexOf(b);
         return postDom_ ? ia >= ib : ia <= ib;
     }
-    return postDom_ ? dominates(ba, bb) : dominates(ba, bb);
+    return dominates(ba, bb);
 }
 
 bool

@@ -10,10 +10,11 @@
 #ifndef ANALYSIS_DOMINATORS_H
 #define ANALYSIS_DOMINATORS_H
 
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "ir/function.h"
+#include "support/pointer_map.h"
 
 namespace repro::analysis {
 
@@ -34,7 +35,8 @@ class DomTree
     /** Immediate dominator block; null for the root. */
     BasicBlock *idom(const BasicBlock *bb) const;
 
-    /** Block-level (post-)dominance, reflexive. */
+    /** Block-level (post-)dominance, reflexive; O(1). False when
+     *  either block is unreachable from the root. */
     bool dominates(const BasicBlock *a, const BasicBlock *b) const;
 
     /** Instruction-level (post-)dominance, reflexive. */
@@ -50,8 +52,26 @@ class DomTree
     Function *function() const { return func_; }
 
   private:
+    /** Each node's neighbours, for nodes 0..n-1, in one array: node
+     *  v's are list[start[v]] .. list[start[v + 1] - 1]. */
+    struct Adjacency
+    {
+        std::vector<int> start;
+        std::vector<int> list;
+
+        Adjacency() = default;
+        /** Group the (from, to) @p edges by from, or by to when
+         *  @p reversed, keeping their order within each node. */
+        Adjacency(int n, const std::vector<std::pair<int, int>> &edges,
+                  bool reversed);
+        const int *begin(int v) const { return list.data() + start[v]; }
+        const int *end(int v) const { return list.data() + start[v + 1]; }
+        int size(int v) const { return start[v + 1] - start[v]; }
+    };
+
     int indexOf(const BasicBlock *bb) const;
     void build();
+    void numberTree(int num_nodes);
     void buildFrontiers();
 
     Function *func_;
@@ -59,9 +79,13 @@ class DomTree
     // Node 0..N-1 are blocks in function order; node N is the virtual
     // root used for post-dominance when several blocks return.
     std::vector<const BasicBlock *> nodes_;
-    std::map<const BasicBlock *, int> nodeIndex_;
+    PointerMap nodeIndex_;
     std::vector<int> idom_;
-    std::vector<std::vector<int>> preds_;
+    // Entry and exit numbers of a DFS over the dominator tree; -1 for
+    // nodes the root does not reach. a dominates b iff a's interval
+    // contains b's.
+    std::vector<int> dfsIn_, dfsOut_;
+    Adjacency preds_;
     std::vector<int> rpoNumber_;
     std::vector<std::vector<BasicBlock *>> frontiers_;
     int root_ = 0;

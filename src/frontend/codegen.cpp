@@ -529,9 +529,13 @@ class CodeGen
             return genUnary(e);
           case Expr::Kind::Cast: {
             Value *v = fromBool(genExpr(*e.children[0]));
-            if (e.castType.pointerDepth > 0)
-                return v; // the IR has no pointer-to-pointer cast
-            return convert(v, irTypeOf(e.castType, true), e.loc);
+            Type *to = irTypeOf(e.castType, true);
+            // The IR has no pointer cast: only the identity passes.
+            if (to->isPointer() && v->type() != to) {
+                fail(e.loc, "cannot cast " + v->type()->str() + " to " +
+                                to->str());
+            }
+            return convert(v, to, e.loc);
           }
           case Expr::Kind::Binary:
             return genBinary(e);

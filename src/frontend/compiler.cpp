@@ -78,6 +78,18 @@ compileMiniCReusing(const std::string &source, ir::Module &module,
     if (boundaries)
         ir::verifyOrThrow(module, "frontend-optimize");
 
+    // The final check runs before the clones, while reused functions
+    // are still declarations: each clone copies a body that passed
+    // this check when it was compiled, from a module the caller keeps
+    // unchanged, and equal declaration keys pin every signature and
+    // global it refers to.
+    auto problems = ir::verifyModule(module);
+    for (const auto &p : problems)
+        diags.error({}, "invalid-ir " + p);
+    result.invalidIr = !problems.empty();
+    if (result.invalidIr)
+        return result;
+
     for (const std::string &name : reused) {
         module.functionByName(name)->cloneBodyFrom(
             *previous.module->functionByName(name));
@@ -85,12 +97,7 @@ compileMiniCReusing(const std::string &source, ir::Module &module,
     if (boundaries && !reused.empty())
         ir::verifyOrThrow(module, "frontend-reuse");
     result.reused = std::move(reused);
-
-    auto problems = ir::verifyModule(module);
-    for (const auto &p : problems)
-        diags.error({}, "invalid-ir " + p);
-    result.invalidIr = !problems.empty();
-    result.ok = problems.empty();
+    result.ok = true;
     return result;
 }
 

@@ -61,9 +61,14 @@ struct CompileResult
  * The result is identical to a fresh compile: same printed IR, same
  * contentHash()es. Without a previous module, this is compileMiniC.
  *
- * Under VerifyMode::Boundaries the clones are verified at their own
- * boundary, "frontend-reuse"; the final whole-module check covers
- * reused functions too.
+ * The final verifier check runs before the clones, so it covers only
+ * the functions compiled fresh; reused functions are declarations at
+ * that point. A clone is trusted because it copies a body that passed
+ * the same check when it was compiled, from a module the caller keeps
+ * unchanged, and equal declaration keys pin every signature and
+ * global it refers to. When the check fails nothing is cloned. Under
+ * VerifyMode::Boundaries the whole module, clones included, is also
+ * verified after cloning, at the boundary "frontend-reuse".
  */
 CompileResult compileMiniCReusing(
     const std::string &source, ir::Module &module, DiagEngine &diags,

@@ -55,13 +55,12 @@ BasicBlock::detach(Instruction *inst)
     return out;
 }
 
-std::vector<BasicBlock *>
+const std::vector<BasicBlock *> &
 BasicBlock::successors() const
 {
+    static const std::vector<BasicBlock *> none;
     Instruction *term = terminator();
-    if (!term)
-        return {};
-    return term->blockTargets();
+    return term ? term->blockTargets() : none;
 }
 
 std::vector<BasicBlock *>
@@ -69,7 +68,7 @@ BasicBlock::predecessors() const
 {
     std::vector<BasicBlock *> preds;
     for (const auto &bb : parent_->blocks()) {
-        auto succs = bb->successors();
+        const auto &succs = bb->successors();
         if (std::find(succs.begin(), succs.end(), this) != succs.end())
             preds.push_back(bb.get());
     }

@@ -62,10 +62,15 @@ class BasicBlock
     /** Release @p inst without destroying it. */
     std::unique_ptr<Instruction> detach(Instruction *inst);
 
-    /** Successor blocks derived from the terminator. */
-    std::vector<BasicBlock *> successors() const;
+    /**
+     * Successor blocks: the terminator's targets, or an empty list
+     * when the block has no terminator. The reference is the
+     * terminator's own list; it is valid until the terminator changes.
+     */
+    const std::vector<BasicBlock *> &successors() const;
 
-    /** Predecessor blocks, scanning the parent function. */
+    /** Predecessor blocks in function order, scanning the parent
+     *  function. */
     std::vector<BasicBlock *> predecessors() const;
 
   private:

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
-#include <set>
 #include <sstream>
+#include <unordered_set>
 
 #include "analysis/dominators.h"
 #include "ir/printer.h"
 #include "support/diagnostics.h"
+#include "support/pointer_map.h"
 
 namespace repro::ir {
 
@@ -95,45 +95,57 @@ VerifierReport::str() const
 namespace {
 
 /**
- * Ownership universe of one module: which values belong to which
- * function and which are module-owned. Built once per verification and
- * consulted by pointer membership alone — a recorded-then-erased
- * operand is diagnosed without ever being dereferenced.
+ * Ownership universe of one module: which function, if any, owns each
+ * value. Built once per verification and consulted by pointer
+ * membership alone — a recorded-then-erased operand is diagnosed
+ * without ever being dereferenced.
  */
 struct Ownership
 {
-    /** Values (arguments + instructions) owned by each function. */
-    std::map<const Function *, std::set<const Value *>> owned;
-    std::set<const Value *> moduleValues; // constants + globals
-    std::set<const Value *> functions;
+    /** The module's functions in order; an owner id indexes this. */
+    std::vector<const Function *> functions;
+    PointerMap functionIds;
+    /** Owner id of every argument and instruction, and moduleId for
+     *  every constant and global. */
+    PointerMap owner;
+    int moduleId = 0;
 
     explicit Ownership(const Module &module)
     {
+        std::vector<const Constant *> constants =
+            module.internedConstants();
+        size_t values = constants.size() + module.globals().size();
         for (const auto &f : module.functions()) {
-            auto &set = owned[f.get()];
+            values += f->args().size();
+            for (const auto &bb : f->blocks())
+                values += bb->size();
+        }
+        owner.reserve(values);
+        functionIds.reserve(module.functions().size());
+        for (const auto &f : module.functions()) {
+            int id = static_cast<int>(functions.size());
+            functions.push_back(f.get());
+            functionIds.insert(f.get(), id);
             for (const auto &arg : f->args())
-                set.insert(arg.get());
+                owner.insert(arg.get(), id);
             for (const auto &bb : f->blocks()) {
                 for (const auto &inst : bb->insts())
-                    set.insert(inst.get());
+                    owner.insert(inst.get(), id);
             }
-            functions.insert(f.get());
         }
-        for (const Constant *c : module.internedConstants())
-            moduleValues.insert(c);
+        moduleId = static_cast<int>(functions.size());
+        for (const Constant *c : constants)
+            owner.insert(c, moduleId);
         for (const auto &g : module.globals())
-            moduleValues.insert(g.get());
+            owner.insert(g.get(), moduleId);
     }
 
     /** Function owning @p v, or null when no function does. */
     const Function *
     ownerOf(const Value *v) const
     {
-        for (const auto &[func, set] : owned) {
-            if (set.count(v))
-                return func;
-        }
-        return nullptr;
+        int id = owner.find(v);
+        return id >= 0 && id < moduleId ? functions[id] : nullptr;
     }
 };
 
@@ -185,14 +197,17 @@ class FunctionVerifier
     FunctionVerifier(Function *func, const Ownership &owners,
                      VerifierReport &report)
         : func_(func), owners_(owners),
-          own_(owners.owned.at(func)), report_(report)
-    {}
+          ownId_(owners.functionIds.find(func)), report_(report)
+    {
+        reproAssert(ownId_ >= 0, "verifier: function outside its module");
+    }
 
     void
     run()
     {
         if (func_->isDeclaration())
             return;
+        indexBlocks();
         checkStructure();
         if (cfgSound_) {
             computeReachability();
@@ -230,10 +245,52 @@ class FunctionVerifier
         diag(rule, VerifySeverity::Error, bb, idx, detail);
     }
 
+    /**
+     * Number this function's blocks and list each block's
+     * predecessors in BasicBlock::predecessors() order, in one pass
+     * over the terminators. Branch targets are looked up, never
+     * dereferenced.
+     */
+    void
+    indexBlocks()
+    {
+        const auto &blocks = func_->blocks();
+        blockIds_.reserve(blocks.size());
+        for (size_t b = 0; b < blocks.size(); ++b)
+            blockIds_.insert(blocks[b].get(), static_cast<int>(b));
+        preds_.assign(blocks.size(), {});
+        for (const auto &bb : blocks) {
+            for (BasicBlock *succ : bb->successors()) {
+                int id = blockIds_.find(succ);
+                if (id < 0)
+                    continue; // a cfg-edge error
+                auto &list = preds_[id];
+                if (list.empty() || list.back() != bb.get())
+                    list.push_back(bb.get());
+            }
+        }
+        reachable_.assign(blocks.size(), 0);
+    }
+
     bool
     isOwnBlock(const BasicBlock *bb) const
     {
-        return func_->blockIndex(bb) >= 0;
+        return blockIds_.contains(bb);
+    }
+
+    /** Whether @p bb is a block of this function the entry reaches. */
+    bool
+    isReachable(const BasicBlock *bb) const
+    {
+        int id = blockIds_.find(bb);
+        return id >= 0 && reachable_[id];
+    }
+
+    /** Whether this function owns @p v (an argument or instruction). */
+    bool
+    owns(const Value *v) const
+    {
+        return owners_.owner.find(v) == ownId_;
     }
 
     /** True when @p v may be dereferenced: it is a live value of this
@@ -241,7 +298,8 @@ class FunctionVerifier
     bool
     live(const Value *v) const
     {
-        return own_.count(v) || owners_.moduleValues.count(v);
+        int id = owners_.owner.find(v);
+        return id == ownId_ || id == owners_.moduleId;
     }
 
     /**
@@ -258,7 +316,7 @@ class FunctionVerifier
                 continue;
             ok = false;
             badOperands_.insert(inst);
-            if (owners_.functions.count(v)) {
+            if (owners_.functionIds.contains(v)) {
                 errorAt("op-cross-function", inst,
                         "function reference used as an operand");
             } else if (const Function *other = owners_.ownerOf(v)) {
@@ -276,13 +334,15 @@ class FunctionVerifier
     void
     checkStructure()
     {
-        for (const auto &bb : func_->blocks()) {
+        const auto &blocks = func_->blocks();
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            const auto &bb = blocks[b];
             if (!bb->terminator()) {
                 diag("block-term", VerifySeverity::Error, bb.get(), -1,
                      "block has no terminator");
                 cfgSound_ = false;
             }
-            auto preds = bb->predecessors();
+            const auto &preds = preds_[b];
             bool past_phis = false;
             for (size_t i = 0; i < bb->size(); ++i) {
                 Instruction *inst = bb->insts()[i].get();
@@ -448,7 +508,7 @@ class FunctionVerifier
             errorAt("call-callee", inst, "call without a callee");
             return;
         }
-        if (!owners_.functions.count(callee)) {
+        if (!owners_.functionIds.contains(callee)) {
             errorAt("call-callee", inst,
                     "callee is not a function of this module");
             return;
@@ -480,20 +540,24 @@ class FunctionVerifier
     void
     computeReachability()
     {
-        std::vector<const BasicBlock *> work{func_->entry()};
-        reachable_.insert(func_->entry());
+        const auto &blocks = func_->blocks();
+        std::vector<int> work{0};
+        reachable_[0] = 1;
         while (!work.empty()) {
-            const BasicBlock *bb = work.back();
+            const BasicBlock *bb = blocks[work.back()].get();
             work.pop_back();
             for (BasicBlock *succ : bb->successors()) {
-                if (reachable_.insert(succ).second)
-                    work.push_back(succ);
+                int id = blockIds_.find(succ);
+                if (id >= 0 && !reachable_[id]) {
+                    reachable_[id] = 1;
+                    work.push_back(id);
+                }
             }
         }
-        for (const auto &bb : func_->blocks()) {
-            if (!reachable_.count(bb.get())) {
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            if (!reachable_[b]) {
                 diag("cfg-unreachable", VerifySeverity::Warning,
-                     bb.get(), -1,
+                     blocks[b].get(), -1,
                      "block is unreachable from the entry");
             }
         }
@@ -503,8 +567,10 @@ class FunctionVerifier
     checkDominance()
     {
         analysis::DomTree dom(func_, false);
-        for (const auto &bb : func_->blocks()) {
-            if (!reachable_.count(bb.get()))
+        const auto &blocks = func_->blocks();
+        for (size_t b = 0; b < blocks.size(); ++b) {
+            const auto &bb = blocks[b];
+            if (!reachable_[b])
                 continue; // dominance is undefined off the CFG
             for (const auto &instp : bb->insts()) {
                 Instruction *inst = instp.get();
@@ -514,17 +580,17 @@ class FunctionVerifier
                 if (is_phi && (inst->incomingBlocks().size() !=
                                    inst->numOperands() ||
                                inst->numOperands() !=
-                                   bb->predecessors().size())) {
+                                   preds_[b].size())) {
                     continue; // already a phi-pred error
                 }
                 for (size_t k = 0; k < inst->numOperands(); ++k) {
                     Value *v = inst->operand(k);
-                    if (!v->isInstruction() || !own_.count(v))
+                    if (!owns(v) || !v->isInstruction())
                         continue;
                     auto *def = static_cast<Instruction *>(v);
                     if (is_phi) {
                         checkPhiIncomingDominance(dom, inst, k, def);
-                    } else if (!reachable_.count(def->parent()) ||
+                    } else if (!isReachable(def->parent()) ||
                                !dom.strictlyDominates(def, inst)) {
                         errorAt("dom-use", inst,
                                 "use of " + def->handle() +
@@ -547,9 +613,9 @@ class FunctionVerifier
         Instruction *term = in->terminator();
         if (!term)
             return; // already a block-term error
-        if (!reachable_.count(in))
+        if (!isReachable(in))
             return; // dominance is undefined off the CFG
-        if (!reachable_.count(def->parent()) ||
+        if (!isReachable(def->parent()) ||
             !dom.dominates(def, term)) {
             errorAt("dom-phi", phi,
                     "phi incoming " + def->handle() +
@@ -560,11 +626,16 @@ class FunctionVerifier
 
     Function *func_;
     const Ownership &owners_;
-    const std::set<const Value *> &own_;
+    /** func_'s owner id in owners_. */
+    int ownId_;
     VerifierReport &report_;
     bool cfgSound_ = true;
-    std::set<const BasicBlock *> reachable_;
-    std::set<const Instruction *> badOperands_;
+    /** Index of each block of func_, in layout order. */
+    PointerMap blockIds_;
+    /** Per block index: predecessors, and reachability from entry. */
+    std::vector<std::vector<BasicBlock *>> preds_;
+    std::vector<char> reachable_;
+    std::unordered_set<const Instruction *> badOperands_;
 };
 
 } // namespace

@@ -195,7 +195,9 @@ formatStats(const driver::CacheCounters &counters, size_t entries,
        << " compile_reused=" << service.compileReused
        << " invalid_ir=" << service.invalidIr
        << " degraded_budget=" << service.degradedBudget
-       << " degraded_deadline=" << service.degradedDeadline;
+       << " degraded_deadline=" << service.degradedDeadline
+       << " shed_connections=" << service.shedConnections
+       << " shed_submits=" << service.shedSubmits;
     return os.str();
 }
 

@@ -296,6 +296,7 @@ serveConnection(MatchService &service, LineIO &io,
                 // consumed: shedding earlier would leave unread
                 // payload bytes to be misparsed as request lines.
                 if (gate && !gate->acquire()) {
+                    service.noteShedSubmit();
                     io.write(busyLine(gate->busyRetryMs));
                     break;
                 }
@@ -481,6 +482,7 @@ SocketServer::acceptLoop()
         // instead of accumulating a thread per flood connection. The
         // BUSY write is best-effort — the client may already be gone.
         if (liveConnections_.load() >= opts_.maxConnections) {
+            service_.noteShedConnection();
             std::string busy = busyLine(opts_.busyRetryMs);
             (void)!::send(fd, busy.data(), busy.size(),
                           MSG_NOSIGNAL);

@@ -55,10 +55,12 @@ MatchService::submit(const std::string &moduleName,
     auto it = sessions_.find(moduleName);
     if (it != sessions_.end())
         previous = {it->second.module.get(), &it->second.keys};
-    // The compile always ends with the full IR verifier, whatever
-    // the VerifyMode, so nothing malformed reaches the session store
-    // or the shared match cache; its rejection carries the verifier's
-    // rule id and location ("invalid-ir rule=... function=@...").
+    // The compile always ends with the full IR verifier on every
+    // function it compiled fresh, whatever the VerifyMode; reused
+    // functions are clones of bodies that passed it when this session
+    // was stored. So nothing malformed reaches the session store or
+    // the shared match cache; a rejection carries the verifier's rule
+    // id and location ("invalid-ir rule=... function=@...").
     DiagEngine diags;
     frontend::CompileResult compiled = frontend::compileMiniCReusing(
         source, *module, diags, previous);
@@ -196,7 +198,10 @@ ServiceCounters
 MatchService::serviceCounters() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    return counters_;
+    ServiceCounters out = counters_;
+    out.shedConnections = shedConnections_.load();
+    out.shedSubmits = shedSubmits_.load();
+    return out;
 }
 
 size_t

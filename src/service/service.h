@@ -26,6 +26,7 @@
 #ifndef SERVICE_SERVICE_H
 #define SERVICE_SERVICE_H
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -127,6 +128,9 @@ struct ServiceCounters
     /** SUBMITs answered degraded=budget / degraded=deadline. */
     uint64_t degradedBudget = 0;
     uint64_t degradedDeadline = 0;
+    /** Connections and SUBMITs a socket server answered BUSY. */
+    uint64_t shedConnections = 0;
+    uint64_t shedSubmits = 0;
 };
 
 /** The long-lived matching service. */
@@ -148,8 +152,9 @@ class MatchService
      *
      * Every compiled module runs through the dominance-aware IR
      * verifier once, as compileMiniC's final check (always,
-     * independent of the REPRO_VERIFY mode): a module with any
-     * error-tier defect is rejected with a structured
+     * independent of the REPRO_VERIFY mode, on every function
+     * compiled fresh): a module with any error-tier defect is
+     * rejected with a structured
      * "error: invalid-ir rule=... function=@..." error before it can
      * reach the session store or the shared cache.
      *
@@ -178,6 +183,10 @@ class MatchService
 
     driver::CacheCounters cacheCounters() const;
     ServiceCounters serviceCounters() const;
+    /** Count a connection / SUBMIT answered BUSY. Lock-free, so
+     *  shedding never waits for a running SUBMIT. */
+    void noteShedConnection() { ++shedConnections_; }
+    void noteShedSubmit() { ++shedSubmits_; }
     size_t cacheSize() const;
     size_t cacheCapacity() const;
     void setCacheCapacity(size_t capacity);
@@ -206,6 +215,8 @@ class MatchService
     mutable std::mutex mutex_;
     ServiceOptions opts_;
     ServiceCounters counters_;
+    std::atomic<uint64_t> shedConnections_{0};
+    std::atomic<uint64_t> shedSubmits_{0};
     std::shared_ptr<driver::MatchCache> cache_;
     driver::MatchingDriver driver_;
     std::map<std::string, Session> sessions_;

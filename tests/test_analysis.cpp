@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "analysis/function_analyses.h"
+#include "benchmarks/suite.h"
 #include "frontend/compiler.h"
 #include "ir/irbuilder.h"
 
@@ -49,6 +53,59 @@ buildDiamond(ir::Module &m)
     return f;
 }
 
+/**
+ * Blocks the (post-)dominator tree's root reaches: from the entry
+ * along successors, or from every returning block along
+ * predecessors.
+ */
+std::set<const ir::BasicBlock *>
+reachedFromRoot(const ir::Function *f, bool post_dom)
+{
+    std::vector<const ir::BasicBlock *> work;
+    if (!post_dom) {
+        work.push_back(f->entry());
+    } else {
+        for (const auto &bb : f->blocks()) {
+            const ir::Instruction *term = bb->terminator();
+            if (term && term->is(ir::Opcode::Ret))
+                work.push_back(bb.get());
+        }
+    }
+    std::set<const ir::BasicBlock *> seen(work.begin(), work.end());
+    while (!work.empty()) {
+        const ir::BasicBlock *bb = work.back();
+        work.pop_back();
+        for (const ir::BasicBlock *next :
+             post_dom ? bb->predecessors() : bb->successors()) {
+            if (seen.insert(next).second)
+                work.push_back(next);
+        }
+    }
+    return seen;
+}
+
+/** Every block pair of @p f: DomTree::dominates equals a walk up
+ *  idom() from the dominated block. */
+void
+expectDominatesMatchesIdomWalk(ir::Function *f, bool post_dom)
+{
+    DomTree dom(f, post_dom);
+    auto reached = reachedFromRoot(f, post_dom);
+    for (const auto &a : f->blocks()) {
+        for (const auto &b : f->blocks()) {
+            bool walk = false;
+            if (reached.count(a.get()) && reached.count(b.get())) {
+                for (const ir::BasicBlock *r = b.get(); r && !walk;
+                     r = dom.idom(r))
+                    walk = r == a.get();
+            }
+            EXPECT_EQ(dom.dominates(a.get(), b.get()), walk)
+                << "@" << f->name() << (post_dom ? " post " : " ")
+                << a->name() << " -> " << b->name();
+        }
+    }
+}
+
 } // namespace
 
 TEST(Dominators, DiamondBlocks)
@@ -85,6 +142,70 @@ TEST(Dominators, PostDominance)
     EXPECT_TRUE(pdom.dominates(merge, entry));
     EXPECT_TRUE(pdom.dominates(merge, then_bb));
     EXPECT_FALSE(pdom.dominates(then_bb, entry));
+}
+
+TEST(Dominators, BlockQueriesMatchIdomWalkOnSuite)
+{
+    for (const auto &p : benchmarks::nasParboilSuite()) {
+        SCOPED_TRACE(p.name);
+        ir::Module m;
+        frontend::compileMiniCOrDie(p.source, m);
+        for (const auto &f : m.functions()) {
+            if (f->isDeclaration())
+                continue;
+            expectDominatesMatchesIdomWalk(f.get(), false);
+            expectDominatesMatchesIdomWalk(f.get(), true);
+        }
+    }
+}
+
+/**
+ * Two returns join at the post-dominance virtual root; %spin reaches
+ * no return and %dead is unreachable from the entry, so each is off
+ * one of the two trees.
+ *
+ *   entry: br %c, %left, %mid
+ *   mid:   br %c, %right, %spin
+ *   left:  ret 1
+ *   right: ret 2
+ *   spin:  br %spin
+ *   dead:  br %left
+ */
+TEST(Dominators, BlockQueriesMatchIdomWalkOffTheTree)
+{
+    ir::Module m;
+    ir::TypeContext &t = m.types();
+    ir::Function *f = m.createFunction("g", t.i32Ty(), {t.i1Ty()});
+    ir::BasicBlock *entry = f->createBlock("entry");
+    ir::BasicBlock *mid = f->createBlock("mid");
+    ir::BasicBlock *left = f->createBlock("left");
+    ir::BasicBlock *right = f->createBlock("right");
+    ir::BasicBlock *spin = f->createBlock("spin");
+    ir::BasicBlock *dead = f->createBlock("dead");
+    ir::IRBuilder b(m);
+    b.setInsertPoint(entry);
+    b.condBr(f->arg(0), left, mid);
+    b.setInsertPoint(mid);
+    b.condBr(f->arg(0), right, spin);
+    b.setInsertPoint(left);
+    b.ret(b.i32(1));
+    b.setInsertPoint(right);
+    b.ret(b.i32(2));
+    b.setInsertPoint(spin);
+    b.br(spin);
+    b.setInsertPoint(dead);
+    b.br(left);
+
+    expectDominatesMatchesIdomWalk(f, false);
+    expectDominatesMatchesIdomWalk(f, true);
+    DomTree dom(f, false), pdom(f, true);
+    EXPECT_FALSE(dom.dominates(dead, dead));
+    EXPECT_FALSE(dom.dominates(dead, left));
+    EXPECT_TRUE(dom.dominates(mid, spin));
+    EXPECT_FALSE(pdom.dominates(spin, spin));
+    EXPECT_TRUE(pdom.dominates(left, dead));
+    EXPECT_FALSE(pdom.dominates(left, entry));
+    EXPECT_EQ(pdom.idom(left), nullptr);
 }
 
 TEST(Dominators, InstructionLevelSameBlock)

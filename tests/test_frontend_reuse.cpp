@@ -17,6 +17,7 @@
 #include "frontend/compiler.h"
 #include "ir/function.h"
 #include "ir/printer.h"
+#include "support/diagnostics.h"
 
 using namespace repro;
 
@@ -291,6 +292,72 @@ TEST(FrontendReuse, BoundaryVerificationCoversClones)
                               ir::VerifyMode::Boundaries);
     EXPECT_EQ(second.result.reused.size(), 10u);
     expectSameAsFresh(second, source);
+}
+
+/**
+ * Break @p f's body in place: move the first instruction that has a
+ * same-block instruction operand to just before that operand's
+ * definition, so the use precedes it.
+ */
+void
+moveUseBeforeDefinition(ir::Function *f)
+{
+    for (const auto &bb : f->blocks()) {
+        for (const auto &inst : bb->insts()) {
+            if (inst->is(ir::Opcode::Phi))
+                continue;
+            for (ir::Value *v : inst->operands()) {
+                auto *def = v->isInstruction()
+                                ? static_cast<ir::Instruction *>(v)
+                                : nullptr;
+                if (!def || def->parent() != bb.get() ||
+                    def->is(ir::Opcode::Phi))
+                    continue;
+                ir::Instruction *use = inst.get();
+                auto moved = bb->detach(use);
+                bb->insert(static_cast<size_t>(bb->indexOf(def)),
+                           std::move(moved));
+                return;
+            }
+        }
+    }
+    FAIL() << "@" << f->name() << " has no same-block use to move";
+}
+
+// A warm compile verifies only what it compiled fresh and trusts each
+// clone to be the body that passed the final check before. The
+// boundary check still verifies the clones, so a reused body broken
+// after its compile is caught there; and when the declarations change
+// nothing is reused, so it cannot leak into the new module.
+TEST(FrontendReuse, BoundaryVerificationCatchesTamperedReuse)
+{
+    const std::string source = tenFunctionSource({1, 2, 3, 4, 5, 6, 7, 8,
+                                                  9, 10});
+    Compiled first = compile(source);
+    moveUseBeforeDefinition(first.module->functionByName("axpy"));
+    ASSERT_FALSE(ir::verifyModule(*first.module).empty());
+
+    ir::Module warm;
+    DiagEngine diags;
+    try {
+        frontend::compileMiniCReusing(source, warm, diags,
+                                      first.asPrevious(),
+                                      ir::VerifyMode::Boundaries);
+        ADD_FAILURE() << "tampered clone passed the boundary check";
+    } catch (const InternalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'frontend-reuse'"),
+                  std::string::npos)
+            << e.what();
+        EXPECT_NE(std::string(e.what()).find("function=@axpy"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    const std::string redeclared = "int spare;\n" + source;
+    Compiled next = compile(redeclared, first.asPrevious(),
+                            ir::VerifyMode::Boundaries);
+    EXPECT_TRUE(next.result.reused.empty());
+    expectSameAsFresh(next, redeclared);
 }
 
 // The reuse checks above compare against a fresh compile, which is

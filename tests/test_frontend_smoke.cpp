@@ -271,6 +271,12 @@ TEST(TypeErrors, IllTypedProgramsAreLocatedErrors)
          "error at 1:22: void function 'f' should not return a value"},
         {"double *f(int *q) { return q; }",
          "error at 1:21: cannot convert i32* to double*"},
+        {"int *f(int i) { return (int*)i + 1; }",
+         "error at 1:24: cannot cast i32 to i32*"},
+        {"double f(int c, int i) { return c ? (double*)i : 1.0; }",
+         "error at 1:37: cannot cast i32 to double*"},
+        {"double f(int *q) { double *p = (double*)q; return p[0]; }",
+         "error at 1:32: cannot cast i32* to double*"},
     };
     for (const Case &c : cases) {
         EXPECT_EQ(compileError(c.source), c.diagnostic) << c.source;
@@ -281,6 +287,23 @@ TEST(TypeErrors, IllTypedProgramsAreLocatedErrors)
         EXPECT_FALSE(frontend::compileMiniC(c.source, module, diags,
                                             ir::VerifyMode::Boundaries));
     }
+}
+
+// A pointer cast compiles only when its operand already has the
+// target's IR type (see the "cannot cast" cases above).
+TEST(TypeErrors, PointerCastToItsOwnTypeIsIdentity)
+{
+    ir::Module module;
+    frontend::compileMiniCOrDie(
+        "double f(double *q) { double *p = (double*)q; return p[1]; }",
+        module, ir::VerifyMode::Boundaries);
+    interp::Memory mem;
+    interp::Interpreter interp(module, mem);
+    uint64_t q = mem.allocate(2 * 8);
+    mem.store<double>(q + 8, 2.5);
+    auto r = interp.run(module.functionByName("f"),
+                        {interp::RuntimeValue::makeInt(q)});
+    EXPECT_DOUBLE_EQ(r.f, 2.5);
 }
 
 // Array parameters decay to pointers: `T a[]`, `T a[N]` and

@@ -580,12 +580,14 @@ TEST(Protocol, StatsCountsReuseAndInvalidIr)
     // The new keys follow sessions=, which keeps its place.
     EXPECT_NE(transcript.find(" insertions=0 sessions=0 "
                               "compile_reused=0 invalid_ir=0 "
-                              "degraded_budget=0 degraded_deadline=0\n"),
+                              "degraded_budget=0 degraded_deadline=0 "
+                              "shed_connections=0 shed_submits=0\n"),
               std::string::npos)
         << transcript;
     EXPECT_NE(transcript.find(" sessions=1 compile_reused=2 "
                               "invalid_ir=0 degraded_budget=0 "
-                              "degraded_deadline=0\n"),
+                              "degraded_deadline=0 "
+                              "shed_connections=0 shed_submits=0\n"),
               std::string::npos)
         << transcript;
 
@@ -601,7 +603,8 @@ TEST(Protocol, StatsCountsReuseAndInvalidIr)
     service::runRepl(svc, stats, statsOut);
     EXPECT_NE(statsOut.str().find(" sessions=1 compile_reused=2 "
                                   "invalid_ir=0 degraded_budget=0 "
-                                  "degraded_deadline=0\n"),
+                                  "degraded_deadline=0 "
+                                  "shed_connections=0 shed_submits=0\n"),
               std::string::npos)
         << statsOut.str();
 }
@@ -711,7 +714,8 @@ TEST(Protocol, StatsCountsBudgetDegradations)
     EXPECT_EQ(svc.serviceCounters().degradedDeadline, 0u);
     const std::string reply = statsReply(svc);
     EXPECT_NE(reply.find(" invalid_ir=0 degraded_budget=2 "
-                         "degraded_deadline=0\n"),
+                         "degraded_deadline=0 "
+                         "shed_connections=0 shed_submits=0\n"),
               std::string::npos)
         << reply;
 }
@@ -735,7 +739,8 @@ TEST(Protocol, StatsCountsDeadlineDegradations)
     EXPECT_EQ(svc.serviceCounters().degradedDeadline, 1u);
     const std::string reply = statsReply(svc);
     EXPECT_NE(reply.find(" invalid_ir=0 degraded_budget=0 "
-                         "degraded_deadline=1\n"),
+                         "degraded_deadline=1 "
+                         "shed_connections=0 shed_submits=0\n"),
               std::string::npos)
         << reply;
 }
@@ -900,5 +905,73 @@ TEST(SocketServer, UnixSocketEditSessionRoundTrip)
         EXPECT_EQ(transcript.find("internal error"), std::string::npos);
         EXPECT_NE(transcript.find("OK bye"), std::string::npos);
     }
+    server.stop();
+}
+
+// A connection past --max-connections is answered BUSY and closed;
+// STATS on an admitted connection counts it.
+TEST(SocketServer, StatsCountsShedConnections)
+{
+    const std::string path =
+        "/tmp/repro_service_shed_conn_" + std::to_string(::getpid()) +
+        ".sock";
+    service::MatchService svc;
+    service::ServerOptions opts;
+    opts.unixPath = path;
+    opts.maxConnections = 1;
+    service::SocketServer server(svc, opts);
+    server.start();
+
+    UnixClient admitted(path);
+    ASSERT_TRUE(admitted.connected());
+    {
+        // The accept loop takes connections in order, so this one
+        // finds the first still open.
+        UnixClient refused(path);
+        ASSERT_TRUE(refused.connected());
+        EXPECT_EQ(refused.drain(), "BUSY retry_after_ms=100\n");
+    }
+    admitted.send("STATS\nQUIT\n");
+    const std::string transcript = admitted.drain();
+    EXPECT_NE(transcript.find(" degraded_deadline=0 shed_connections=1 "
+                              "shed_submits=0\nOK bye\n"),
+              std::string::npos)
+        << transcript;
+    EXPECT_EQ(svc.serviceCounters().shedConnections, 1u);
+    server.stop();
+}
+
+// A SUBMIT past --max-inflight is answered BUSY, costs no compile and
+// keeps the connection; STATS counts it.
+TEST(SocketServer, StatsCountsShedSubmits)
+{
+    const std::string path =
+        "/tmp/repro_service_shed_submit_" + std::to_string(::getpid()) +
+        ".sock";
+    service::MatchService svc;
+    service::ServerOptions opts;
+    opts.unixPath = path;
+    opts.maxInFlight = 0; // every SUBMIT is over the gate
+    service::SocketServer server(svc, opts);
+    server.start();
+
+    const std::string source = clientSource();
+    UnixClient client(path);
+    ASSERT_TRUE(client.connected());
+    std::ostringstream script;
+    script << "SUBMIT shed " << source.size() << "\n" << source;
+    script << "STATS\nQUIT\n";
+    client.send(script.str());
+    const std::string transcript = client.drain();
+    EXPECT_EQ(transcript.rfind("BUSY retry_after_ms=100\nOK entries=0 ", 0),
+              0u)
+        << transcript;
+    EXPECT_NE(transcript.find(" sessions=0 compile_reused=0 invalid_ir=0 "
+                              "degraded_budget=0 degraded_deadline=0 "
+                              "shed_connections=0 shed_submits=1\n"
+                              "OK bye\n"),
+              std::string::npos)
+        << transcript;
+    EXPECT_EQ(svc.serviceCounters().shedSubmits, 1u);
     server.stop();
 }
