@@ -39,10 +39,11 @@ Interpreter::evalConstant(const ir::Constant *c) const
     return RuntimeValue::makeInt(c->intValue());
 }
 
-// Out of line so CompiledFunction is complete where the cache's
-// unique_ptrs are constructed and destroyed.
+// Out of line so LoadedFunction and Word are complete where the
+// members holding them are constructed and destroyed.
 Interpreter::Interpreter(ir::Module &module, Memory &mem)
-    : module_(module), mem_(mem)
+    : module_(module), mem_(mem), frames_(kMaxDepth + 2),
+      nativeArgs_(kMaxDepth + 2)
 {}
 
 Interpreter::~Interpreter() = default;
@@ -95,43 +96,58 @@ Interpreter::call(ir::Function *func,
                   const std::vector<RuntimeValue> &args)
 {
     if (engine_ == Engine::Reference)
-        return runFunction(func, args, 1);
-    return CompiledExec::run(*this, func, args, 1);
+        return runFunction(func, args, nativeDepth_ + 1);
+    return CompiledExec::run(*this, func, args, nativeDepth_ + 1);
 }
 
-const CompiledFunction &
-Interpreter::compiledFor(ir::Function *func)
+RuntimeValue
+Interpreter::callNative(const NativeFn &fn,
+                        const std::vector<RuntimeValue> &args, int depth)
 {
-    auto &slot = compiled_[func];
-    if (!slot) {
-        // Last line of defense: bytecode lowering assumes well-formed
-        // SSA (operand registers resolve by dominance), so a malformed
-        // function must fail loudly here, not execute garbage.
-        if (verify_ == ir::VerifyMode::Boundaries)
-            ir::verifyOrThrow(func, "pre-bytecode");
-        slot = std::make_unique<CompiledFunction>(*func);
+    // Restored however the handler leaves, so call() always enters
+    // one frame below the innermost handler still running.
+    struct Restore
+    {
+        int &depth;
+        int saved;
+        ~Restore() { depth = saved; }
+    } restore{nativeDepth_, nativeDepth_};
+    nativeDepth_ = depth;
+    return fn(args, *this);
+}
+
+LoadedFunction &
+Interpreter::load(ir::Function *func)
+{
+    int idx = loadedIndex_.find(func);
+    if (idx >= 0)
+        return *loaded_[static_cast<size_t>(idx)];
+    // Last line of defense: bytecode lowering assumes well-formed
+    // SSA (operand registers resolve by dominance), so a malformed
+    // function must fail loudly here, not execute garbage.
+    if (verify_ == ir::VerifyMode::Boundaries)
+        ir::verifyOrThrow(func, "pre-bytecode");
+    auto fn = std::make_unique<LoadedFunction>(*func);
+    fn->frame = fn->code.frameTemplate();
+    for (const auto &[slot, global] : fn->code.globalSlots()) {
+        fn->frame[slot].i =
+            static_cast<int64_t>(globalAddrs_.at(global));
     }
-    return *slot;
-}
-
-uint64_t *
-Interpreter::profileBufferFor(const CompiledFunction &cf)
-{
-    auto &buf = profileBuffers_[&cf];
-    if (buf.empty())
-        buf.resize(cf.numProfiled(), 0);
-    return buf.data();
+    fn->callees.resize(fn->code.calls().size());
+    loadedIndex_.insert(func, static_cast<int>(loaded_.size()));
+    loaded_.push_back(std::move(fn));
+    return *loaded_.back();
 }
 
 void
 Interpreter::flushProfileBuffers()
 {
-    for (auto &[cf, buf] : profileBuffers_) {
-        const auto &insts = cf->profInstructions();
-        for (size_t i = 0; i < buf.size(); ++i) {
-            if (buf[i] != 0) {
-                profile_.counts[insts[i]] += buf[i];
-                buf[i] = 0;
+    for (auto &fn : loaded_) {
+        const auto &insts = fn->code.profInstructions();
+        for (size_t i = 0; i < fn->profile.size(); ++i) {
+            if (fn->profile[i] != 0) {
+                profile_.counts[insts[i]] += fn->profile[i];
+                fn->profile[i] = 0;
             }
         }
     }
@@ -141,10 +157,22 @@ void
 Interpreter::clearProfile()
 {
     profile_ = Profile();
-    profileBuffers_.clear();
+    for (auto &fn : loaded_)
+        fn->profile.clear();
 }
 
 namespace {
+
+/**
+ * @p v as a value of @p type: the conversion the bytecode engine
+ * makes where a RuntimeValue becomes a register Word and back.
+ */
+RuntimeValue
+retype(const RuntimeValue &v, const Type *type)
+{
+    RuntimeValue::Kind kind = kindOf(type);
+    return toValue(toWord(v, kind), kind);
+}
 
 /** Typed memory access dispatch. */
 RuntimeValue
@@ -204,7 +232,7 @@ RuntimeValue
 Interpreter::runFunction(ir::Function *func,
                          const std::vector<RuntimeValue> &args, int depth)
 {
-    if (depth > 64)
+    if (depth > kMaxDepth)
         throw FatalError("interpreter: call depth exceeded");
     if (func->isDeclaration()) {
         auto it = natives_.find(func->name());
@@ -212,14 +240,14 @@ Interpreter::runFunction(ir::Function *func,
             throw FatalError("interpreter: no native handler for @" +
                              func->name());
         }
-        return it->second(args, *this);
+        return callNative(it->second, args, depth);
     }
     reproAssert(args.size() == func->numArgs(),
                 "interpreter: wrong argument count");
 
     std::unordered_map<const Value *, RuntimeValue> env;
     for (size_t i = 0; i < args.size(); ++i)
-        env[func->arg(i)] = args[i];
+        env[func->arg(i)] = retype(args[i], func->arg(i)->type());
 
     auto eval = [&](Value *v) -> RuntimeValue {
         if (v->isConstant())
@@ -444,9 +472,10 @@ Interpreter::runFunction(ir::Function *func,
             break;
           }
           case Opcode::Ret:
-            if (inst->numOperands() == 0)
-                return RuntimeValue::makeVoid();
-            return eval(inst->operand(0));
+            return retype(inst->numOperands() == 0
+                              ? RuntimeValue::makeVoid()
+                              : eval(inst->operand(0)),
+                          func->returnType());
           case Opcode::SExt:
           case Opcode::ZExt:
           case Opcode::Trunc: {
@@ -481,12 +510,14 @@ Interpreter::runFunction(ir::Function *func,
           case Opcode::Call: {
             std::vector<RuntimeValue> callArgs;
             callArgs.reserve(inst->numOperands());
-            for (size_t k = 0; k < inst->numOperands(); ++k)
-                callArgs.push_back(eval(inst->operand(k)));
+            for (size_t k = 0; k < inst->numOperands(); ++k) {
+                callArgs.push_back(retype(eval(inst->operand(k)),
+                                          inst->operand(k)->type()));
+            }
             RuntimeValue r =
                 runFunction(inst->callee(), callArgs, depth + 1);
             if (!inst->type()->isVoid())
-                env[inst] = r;
+                env[inst] = retype(r, inst->type());
             break;
           }
         }

@@ -35,6 +35,7 @@
 #include "interp/memory.h"
 #include "ir/function.h"
 #include "ir/verifier.h"
+#include "support/pointer_map.h"
 
 namespace repro::interp {
 
@@ -78,7 +79,8 @@ struct RuntimeValue
 };
 
 class Interpreter;
-class CompiledFunction;
+struct LoadedFunction;
+union Word;
 
 /** Round to float precision (via an actual float round-trip). */
 inline double
@@ -129,8 +131,8 @@ class Interpreter
 {
   public:
     // Constructor and destructor are out of line: members reference
-    // CompiledFunction, which is incomplete here (interp/compiled.h
-    // completes it for interpreter.cpp).
+    // LoadedFunction and Word, which are incomplete here
+    // (interp/compiled.h completes them for interpreter.cpp).
     explicit Interpreter(ir::Module &module, Memory &mem);
     ~Interpreter();
 
@@ -159,7 +161,9 @@ class Interpreter
 
     /**
      * Re-entrant call used by native skeletons to run IR kernels.
-     * Dispatches to whichever engine the enclosing run started.
+     * Dispatches to whichever engine the enclosing run started, one
+     * frame deeper than the calling native handler: recursion through
+     * natives counts against the same depth limit as direct calls.
      */
     RuntimeValue call(ir::Function *func,
                       const std::vector<RuntimeValue> &args);
@@ -193,19 +197,25 @@ class Interpreter
 
     enum class Engine { Compiled, Reference };
 
+    /** Frames deeper than this throw "call depth exceeded". */
+    static constexpr int kMaxDepth = 64;
+
     RuntimeValue evalConstant(const ir::Constant *c) const;
     RuntimeValue runFunction(ir::Function *func,
                              const std::vector<RuntimeValue> &args,
                              int depth);
 
+    /** Run native @p fn as the frame at @p depth (both engines). */
+    RuntimeValue callNative(const NativeFn &fn,
+                            const std::vector<RuntimeValue> &args,
+                            int depth);
+
     /** Give every module global a heap address (idempotent). */
     void materializeGlobals();
 
-    /** Bytecode of @p func, compiled on first request. */
-    const CompiledFunction &compiledFor(ir::Function *func);
-
-    /** Dense per-instruction counters of @p cf (lazily sized). */
-    uint64_t *profileBufferFor(const CompiledFunction &cf);
+    /** Bytecode of @p func with its globals resolved, lowered on
+     *  first request. */
+    LoadedFunction &load(ir::Function *func);
 
     /** Merge the dense bytecode counters into profile_.counts. */
     void flushProfileBuffers();
@@ -220,10 +230,17 @@ class Interpreter
     Profile profile_;
     Engine engine_ = Engine::Compiled;
     ir::VerifyMode verify_ = ir::defaultVerifyMode();
-    std::map<const ir::Function *, std::unique_ptr<CompiledFunction>>
-        compiled_;
-    std::map<const CompiledFunction *, std::vector<uint64_t>>
-        profileBuffers_;
+    /** Depth of the innermost running native handler (0 if none). */
+    int nativeDepth_ = 0;
+    std::vector<std::unique_ptr<LoadedFunction>> loaded_;
+    /** ir::Function -> index into loaded_. */
+    PointerMap loadedIndex_;
+    /** The bytecode frame of each live depth, reused across calls. */
+    std::vector<std::vector<Word>> frames_;
+    /** Argument vectors of native calls, one per depth. */
+    std::vector<std::vector<RuntimeValue>> nativeArgs_;
+    /** Scratch of overlapping phi move groups. */
+    std::vector<Word> moveScratch_;
 };
 
 } // namespace repro::interp

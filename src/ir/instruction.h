@@ -9,6 +9,7 @@
 #ifndef IR_INSTRUCTION_H
 #define IR_INSTRUCTION_H
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -134,6 +135,17 @@ class Instruction : public Value
     void eraseFromParent();
 
   private:
+    friend class Value; // dropUses()
+
+    /** Remove the operands naming @p v, leaving its user list to the
+     *  caller. */
+    void
+    forgetOperand(const Value *v)
+    {
+        operands_.erase(std::remove(operands_.begin(), operands_.end(), v),
+                        operands_.end());
+    }
+
     Opcode op_;
     BasicBlock *parent_ = nullptr;
     std::vector<Value *> operands_;

@@ -30,6 +30,14 @@ Value::replaceAllUsesWith(Value *replacement)
     }
 }
 
+void
+Value::dropUses()
+{
+    for (Instruction *user : users_)
+        user->forgetOperand(this);
+    users_.clear();
+}
+
 std::string
 Value::handle() const
 {

@@ -72,6 +72,15 @@ class Value
     /** Rewrite every use of this value to @p replacement. */
     void replaceAllUsesWith(Value *replacement);
 
+    /**
+     * Remove every use of this value in one pass: each user loses
+     * the operands naming it, and the user list empties. Erasing the
+     * users one at a time through Instruction::dropOperands instead
+     * rescans this list per use. Only for users about to be erased:
+     * a phi's incoming blocks would fall out of step.
+     */
+    void dropUses();
+
     /** Short printable handle, e.g. "%sum" or "42". */
     virtual std::string handle() const;
 

@@ -173,10 +173,12 @@ bindReduce(Interpreter &interp, const Replacement &rep)
             size_t base_at = 3;
             size_t inv_at =
                 base_at + static_cast<size_t>(rep.numReads);
+            // One argument vector for every iteration.
+            std::vector<RuntimeValue> kargs;
+            kargs.reserve(static_cast<size_t>(rep.numReads) + 1 +
+                          static_cast<size_t>(rep.numInvariants));
             for (int64_t i = begin; i < end; ++i) {
-                std::vector<RuntimeValue> kargs;
-                kargs.reserve(static_cast<size_t>(rep.numReads) + 1 +
-                              static_cast<size_t>(rep.numInvariants));
+                kargs.clear();
                 for (int r = 0; r < rep.numReads; ++r) {
                     Type::Kind kind =
                         rep.readKinds[static_cast<size_t>(r)];
@@ -212,8 +214,10 @@ bindHistogram(Interpreter &interp, const Replacement &rep)
                 base_at + static_cast<size_t>(rep.numReads);
             size_t iinv_at =
                 vinv_at + static_cast<size_t>(rep.numInvariants);
+            // One vector each for every iteration.
+            std::vector<RuntimeValue> reads, iargs, vargs;
             for (int64_t i = begin; i < end; ++i) {
-                std::vector<RuntimeValue> reads;
+                reads.clear();
                 for (int r = 0; r < rep.numReads; ++r) {
                     Type::Kind kind =
                         rep.readKinds[static_cast<size_t>(r)];
@@ -224,7 +228,7 @@ bindHistogram(Interpreter &interp, const Replacement &rep)
                         base + kindSize(kind) *
                                    static_cast<uint64_t>(i)));
                 }
-                std::vector<RuntimeValue> iargs = reads;
+                iargs.assign(reads.begin(), reads.end());
                 for (int v = 0; v < rep.numIndexInvariants; ++v)
                     iargs.push_back(
                         args[iinv_at + static_cast<size_t>(v)]);
@@ -235,7 +239,7 @@ bindHistogram(Interpreter &interp, const Replacement &rep)
                               static_cast<uint64_t>(idx);
                 RuntimeValue old =
                     loadKind(mem, rep.elemKind, slot);
-                std::vector<RuntimeValue> vargs = reads;
+                vargs.assign(reads.begin(), reads.end());
                 vargs.push_back(old);
                 for (int v = 0; v < rep.numInvariants; ++v)
                     vargs.push_back(
@@ -277,8 +281,10 @@ bindStencil(Interpreter &interp, const Replacement &rep)
                 invs.push_back(args[at++]);
 
             uint64_t esz = kindSize(rep.elemKind);
+            // One argument vector for every point.
+            std::vector<RuntimeValue> kargs;
             auto run_point = [&](int64_t i0, int64_t i1, int64_t i2) {
-                std::vector<RuntimeValue> kargs;
+                kargs.clear();
                 for (int r = 0; r < rep.numReads; ++r) {
                     int64_t flat;
                     if (dims == 3) {

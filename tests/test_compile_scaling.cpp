@@ -14,9 +14,15 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "frontend/codegen.h"
 #include "frontend/compiler.h"
+#include "frontend/mem2reg.h"
+#include "frontend/parser.h"
+#include "frontend/passes.h"
 #include "ir/verifier.h"
 
 using namespace repro;
@@ -30,18 +36,22 @@ struct Timings
     double large = 0;
 };
 
+/** Wall time of @p work in milliseconds. */
+double
+millis(const std::function<void()> &work)
+{
+    auto t0 = std::chrono::steady_clock::now();
+    work();
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
 /** Run @p small and @p large alternately five times each. */
 Timings
 bestTimes(const std::function<void()> &small,
           const std::function<void()> &large)
 {
-    auto millis = [](const std::function<void()> &work) {
-        auto t0 = std::chrono::steady_clock::now();
-        work();
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
-    };
     Timings best{millis(small), millis(large)};
     for (int rep = 1; rep < 5; ++rep) {
         best.small = std::min(best.small, millis(small));
@@ -85,6 +95,20 @@ compileClean(const std::string &source)
     frontend::compileMiniCOrDie(source, module, ir::VerifyMode::Off);
 }
 
+/** @p source compiled up to where the compiler runs mem2reg. */
+std::unique_ptr<ir::Module>
+beforeMem2reg(const std::string &source)
+{
+    auto module = std::make_unique<ir::Module>();
+    DiagEngine diags;
+    auto unit = frontend::parseMiniC(source, diags);
+    EXPECT_TRUE(unit && frontend::generateIR(*unit, *module, diags))
+        << diags.dump();
+    for (const auto &f : module->functions())
+        frontend::removeUnreachableBlocks(f.get());
+    return module;
+}
+
 } // namespace
 
 TEST(CompileScaling, VerifierNearLinearInSequentialIfs)
@@ -108,4 +132,24 @@ TEST(CompileScaling, CompileNearLinearInNestedIfs)
                           [&] { compileClean(large); });
     EXPECT_LT(t.large, 8 * t.small)
         << "n=250: " << t.small << " ms, n=990: " << t.large << " ms";
+}
+
+// Every `if` loads and stores `a`: the alloca's use count grows with n.
+TEST(CompileScaling, Mem2regNearLinearInSequentialIfs)
+{
+    // mem2reg consumes its input: each timed run promotes a fresh
+    // copy, built untimed just before it.
+    const std::string small = sequentialIfs(2000),
+                      large = sequentialIfs(8000);
+    Timings t;
+    for (int rep = 0; rep < 5; ++rep) {
+        for (bool big : {false, true}) {
+            auto module = beforeMem2reg(big ? large : small);
+            double ms = millis([&] { frontend::promoteModule(*module); });
+            double &best = big ? t.large : t.small;
+            best = rep == 0 ? ms : std::min(best, ms);
+        }
+    }
+    EXPECT_LT(t.large, 8 * t.small)
+        << "n=2000: " << t.small << " ms, n=8000: " << t.large << " ms";
 }

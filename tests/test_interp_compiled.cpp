@@ -15,8 +15,17 @@
  * bytecode compilation a pure performance transformation and gives
  * every future PR end-to-end semantic coverage of
  * match -> transform -> bind -> execute.
+ *
+ * The step-limit sweep extends the contract to runs cut short: the
+ * bytecode engine charges a straight-line segment's steps at once, so
+ * at every limit both engines must still throw the same error after
+ * the same number of steps and leave the same heap and Profile.
  */
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <gtest/gtest.h>
 
 #include "benchmarks/suite.h"
@@ -25,6 +34,10 @@
 #include "interp/builtins.h"
 #include "interp/compiled.h"
 #include "interp/interpreter.h"
+#include "ir/verifier.h"
+#include "transform/binder.h"
+
+#include "fuzz_programs.h"
 
 using namespace repro;
 using interp::RuntimeValue;
@@ -167,6 +180,42 @@ TEST(CompiledInterp, StepLimitTripsInBothEngines)
     }
 }
 
+TEST(CompiledInterp, NativeReentryCountsFrames)
+{
+    // The native g re-enters f, which calls g again. Unless the
+    // frames below a running native count, this recursion has no
+    // bound in either engine.
+    const char *src = R"(
+        double g(double x);
+        double f(double x) { return g(x) + 1.0; }
+    )";
+    ir::Module module;
+    frontend::compileMiniCOrDie(src, module);
+    ir::Function *f = module.functionByName("f");
+    uint64_t steps[2] = {0, 0};
+    for (bool reference : {false, true}) {
+        interp::Memory mem;
+        interp::Interpreter it(module, mem);
+        it.registerNative("g", [f](const std::vector<RuntimeValue> &args,
+                                   interp::Interpreter &in) {
+            return in.call(f, args);
+        });
+        std::string error;
+        try {
+            if (reference)
+                it.runReference(f, {F(1.0)});
+            else
+                it.run(f, {F(1.0)});
+        } catch (const FatalError &e) {
+            error = e.what();
+        }
+        EXPECT_EQ(error, "interpreter: call depth exceeded") << reference;
+        steps[reference] = it.stepsExecuted();
+    }
+    EXPECT_EQ(steps[0], steps[1]);
+    EXPECT_GT(steps[0], 0u);
+}
+
 TEST(CompiledInterp, CompiledFunctionLayout)
 {
     const char *src = R"(
@@ -228,6 +277,217 @@ TEST(CompiledInterpDifferential, SuiteOriginalAndTransformed)
     EXPECT_EQ(totalReplacements, 58u);
     EXPECT_EQ(originalSteps, 5814982u);
     EXPECT_EQ(transformedSteps, 3993563u);
+}
+
+// ------------------------------------------- step-limit parity sweep
+
+/** Everything one engine run leaves behind, whether it threw or not. */
+struct Outcome
+{
+    /** FatalError message; empty when the run returned. */
+    std::string error;
+    RuntimeValue ret;
+    uint64_t steps = 0;
+    std::unique_ptr<interp::Memory> heap;
+    interp::Profile profile;
+};
+
+/** Seeds a fresh heap and returns the entry's arguments. */
+using SeedFn = std::function<std::vector<RuntimeValue>(interp::Memory &)>;
+
+/** One program ready to run: its module, entry and bound natives. */
+struct Runnable
+{
+    ir::Module *module = nullptr;
+    ir::Function *entry = nullptr;
+    std::vector<transform::Replacement> replacements;
+    SeedFn setup;
+};
+
+Outcome
+runOnce(const Runnable &prog, bool reference, bool profile,
+        uint64_t limit)
+{
+    Outcome out;
+    out.heap = std::make_unique<interp::Memory>();
+    interp::Interpreter it(*prog.module, *out.heap);
+    // sweepStepLimits verifies the module once; it never changes, so
+    // the pre-bytecode check of every run would repeat that work.
+    it.setVerifyMode(ir::VerifyMode::Off);
+    interp::registerMathBuiltins(it);
+    transform::bindReplacements(it, prog.replacements);
+    it.enableProfile(profile);
+    it.setStepLimit(limit);
+    std::vector<RuntimeValue> args = prog.setup(*out.heap);
+    try {
+        out.ret = reference ? it.runReference(prog.entry, args)
+                            : it.run(prog.entry, args);
+    } catch (const FatalError &e) {
+        out.error = e.what();
+    }
+    out.steps = it.stepsExecuted();
+    out.profile = it.profile();
+    return out;
+}
+
+bool
+sameHeap(const interp::Memory &a, const interp::Memory &b)
+{
+    if (a.size() != b.size())
+        return false;
+    const uint64_t base = interp::Memory::kBase;
+    interp::Memory::RawSpan sa(a, base, a.size() - base);
+    interp::Memory::RawSpan sb(b, base, b.size() - base);
+    return std::memcmp(sa.data(), sb.data(), sa.size()) == 0;
+}
+
+/**
+ * First difference between two outcomes, profiles included when
+ * @p profiled; empty when identical.
+ */
+std::string
+outcomeDiff(const Outcome &ref, const Outcome &fast, bool profiled)
+{
+    if (ref.error != fast.error)
+        return "error '" + ref.error + "' vs '" + fast.error + "'";
+    if (ref.steps != fast.steps) {
+        return "steps " + std::to_string(ref.steps) + " vs " +
+               std::to_string(fast.steps);
+    }
+    if (!RuntimeValue::bitsEqual(ref.ret, fast.ret))
+        return "return values differ";
+    if (!sameHeap(*ref.heap, *fast.heap))
+        return "heaps differ";
+    if (!profiled)
+        return "";
+    if (ref.profile.totalSteps != fast.profile.totalSteps)
+        return "profile totals differ";
+    if (ref.profile.counts != fast.profile.counts)
+        return "per-instruction profiles differ";
+    return "";
+}
+
+/**
+ * Limits 0-199, 38 more spread geometrically up to @p total, and the
+ * last two: @p total - 1 trips at the final instruction, @p total
+ * completes.
+ */
+std::vector<uint64_t>
+sweepLimits(uint64_t total)
+{
+    std::vector<uint64_t> limits;
+    for (uint64_t l = 0; l < 200; ++l)
+        limits.push_back(l);
+    for (int k = 1; k <= 38; ++k) {
+        double l = 200.0 * std::pow(std::max(1.0, total / 200.0),
+                                    k / 39.0);
+        limits.push_back(static_cast<uint64_t>(l));
+    }
+    limits.push_back(total > 0 ? total - 1 : 0);
+    limits.push_back(total);
+    std::sort(limits.begin(), limits.end());
+    limits.erase(std::unique(limits.begin(), limits.end()),
+                 limits.end());
+    return limits;
+}
+
+/**
+ * Run @p prog under both engines at every sweep limit, profiling on
+ * and off, and require identical outcomes. The tree-walker runs once
+ * per limit, profiled: profiling only counts, so its unprofiled run
+ * would differ in the Profile alone, which an unprofiled comparison
+ * skips. Returns the limits times profiling modes swept.
+ */
+size_t
+sweepStepLimits(const Runnable &prog, const std::string &label)
+{
+    std::vector<std::string> problems = ir::verifyModule(*prog.module);
+    EXPECT_TRUE(problems.empty()) << label << ": " << problems.front();
+    const uint64_t total =
+        runOnce(prog, true, false, ~uint64_t(0)).steps;
+    size_t runs = 0;
+    int mismatches = 0;
+    for (uint64_t limit : sweepLimits(total)) {
+        Outcome ref = runOnce(prog, true, true, limit);
+        for (bool profile : {false, true}) {
+            Outcome fast = runOnce(prog, false, profile, limit);
+            ++runs;
+            std::string diff = outcomeDiff(ref, fast, profile);
+            if (!diff.empty() && ++mismatches <= 3) {
+                ADD_FAILURE() << label << " limit " << limit
+                              << (profile ? " profiled: " : ": ")
+                              << diff;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0) << label;
+    return runs;
+}
+
+TEST(CompiledInterpStepLimit, SuiteOriginalAndTransformed)
+{
+    size_t runs = 0;
+    for (const auto &program : benchmarks::nasParboilSuite()) {
+        SeedFn setup = [&program](interp::Memory &mem) {
+            return program.setup(mem).args;
+        };
+        ir::Module original;
+        frontend::compileMiniCOrDie(program.source, original);
+        runs += sweepStepLimits(
+            {&original, original.functionByName(program.entry), {},
+             setup},
+            program.name);
+
+        ir::Module transformed;
+        driver::DriverOptions opts;
+        opts.applyTransforms = true;
+        driver::MatchingDriver drv(opts);
+        driver::MatchReport report =
+            drv.compileAndMatch(program.source, transformed);
+        runs += sweepStepLimits(
+            {&transformed, transformed.functionByName(program.entry),
+             report.replacements, setup},
+            program.name + " transformed");
+    }
+    EXPECT_GT(runs, 42u * 200u);
+}
+
+TEST(CompiledInterpStepLimit, FuzzPrograms)
+{
+    for (uint64_t seed = 1; seed <= fuzz::kSeeds; ++seed) {
+        ir::Module module;
+        frontend::compileMiniCOrDie(fuzz::program(seed), module);
+        sweepStepLimits({&module, module.functionByName("fuzz"), {},
+                         fuzz::seedMemory},
+                        "fuzz seed " + std::to_string(seed));
+    }
+}
+
+TEST(CompiledInterpStepLimit, MemoryTrapAfterCall)
+{
+    // The load traps a few instructions after the call returns, with
+    // more instructions after it in the same straight-line run.
+    const char *src = R"(
+        double half(double x) { return x * 0.5; }
+        double f(double *a, int i) {
+            double y = half(3.0);
+            double z = y + 1.0;
+            double w = z * y;
+            return a[i] * w + z;
+        }
+    )";
+    ir::Module module;
+    frontend::compileMiniCOrDie(src, module);
+    SeedFn setup = [](interp::Memory &mem) {
+        uint64_t a = mem.allocate(8 * 8);
+        return std::vector<RuntimeValue>{
+            I(static_cast<int64_t>(a)), I(1 << 20)};
+    };
+    Runnable prog{&module, module.functionByName("f"), {}, setup};
+    Outcome full = runOnce(prog, false, false, ~uint64_t(0));
+    EXPECT_EQ(full.error, "interpreter memory access out of range");
+    EXPECT_GT(full.steps, 5u);
+    sweepStepLimits(prog, "memory trap");
 }
 
 } // namespace
